@@ -1,7 +1,7 @@
 #include "src/core/kmeans.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 
@@ -14,14 +14,78 @@ namespace bp {
 
 namespace {
 
-/** Weighted k-means++ seeding. */
-std::vector<std::vector<double>>
-seedCentroids(const std::vector<std::vector<double>> &points,
-              const std::vector<double> &weights, unsigned k, Rng &rng)
+/** Points per dispatched chunk of the assignment step. */
+constexpr size_t kAssignChunk = 256;
+
+/** Largest |v[i]| of @p count values; infinity when one is NaN. */
+double
+maxAbs(const double *v, size_t count)
 {
-    const size_t n = points.size();
-    std::vector<std::vector<double>> centroids;
-    centroids.reserve(k);
+    double largest = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+        const double a = std::fabs(v[i]);
+        if (!(a <= largest))
+            largest = std::isnan(a) ? std::numeric_limits<double>::infinity()
+                                    : a;
+    }
+    return largest;
+}
+
+/**
+ * The points of one clustering call, copied once into a row-major
+ * n x dim block that every k, restart and pass walks.
+ */
+struct FlatPoints
+{
+    explicit FlatPoints(const std::vector<std::vector<double>> &points)
+        : n(points.size()), dim(points[0].size())
+    {
+        rows.reserve(n * dim);
+        for (const auto &point : points) {
+            BP_ASSERT(point.size() == dim, "dimension mismatch");
+            rows.insert(rows.end(), point.begin(), point.end());
+        }
+        maxAbsCoordinate = maxAbs(rows.data(), rows.size());
+    }
+
+    const double *row(size_t i) const { return rows.data() + i * dim; }
+
+    size_t n;
+    size_t dim;
+    std::vector<double> rows;
+    double maxAbsCoordinate;
+};
+
+/**
+ * Absolute rounding slack of the bound test (kmeans.h explains the
+ * derivation) when no coordinate of a point or centroid exceeds
+ * @p max_abs in magnitude. Infinite, so that no point skips its scan,
+ * when a coordinate is not finite or squared distances could overflow
+ * or underflow.
+ */
+double
+boundSlack(double max_abs, size_t dim, unsigned max_iterations)
+{
+    const double d = static_cast<double>(dim);
+    const double radius = std::sqrt(d) * max_abs;
+    if (!(radius > 1e-100 && radius < 1e150))
+        return std::numeric_limits<double>::infinity();
+    return 4.0 * (max_iterations + 2.0) * (d + 9.0) * DBL_EPSILON * radius;
+}
+
+/** Weighted k-means++ seeding; @return k x dim centroids, row-major. */
+std::vector<double>
+seedCentroids(const FlatPoints &points, const std::vector<double> &weights,
+              unsigned k, Rng &rng)
+{
+    const size_t n = points.n;
+    const size_t dim = points.dim;
+    std::vector<double> centroids;
+    centroids.reserve(size_t{k} * dim);
+    const auto append = [&](size_t i) {
+        centroids.insert(centroids.end(), points.row(i),
+                         points.row(i) + dim);
+    };
 
     // First centroid: weighted random point.
     double total_weight = 0.0;
@@ -36,20 +100,20 @@ seedCentroids(const std::vector<std::vector<double>> &points,
             break;
         }
     }
-    centroids.push_back(points[first]);
+    append(first);
 
     std::vector<double> min_dist(n, std::numeric_limits<double>::max());
-    while (centroids.size() < k) {
+    for (unsigned c = 1; c < k; ++c) {
+        const double *last = centroids.data() + (c - 1) * dim;
         double dist_sum = 0.0;
         for (size_t i = 0; i < n; ++i) {
             min_dist[i] = std::min(min_dist[i],
-                                   squaredDistance(points[i],
-                                                   centroids.back()));
+                                   squaredDistance(points.row(i), last, dim));
             dist_sum += min_dist[i] * weights[i];
         }
         if (dist_sum <= 0.0) {
             // All remaining points coincide with a centroid; duplicate.
-            centroids.push_back(points[first]);
+            append(first);
             continue;
         }
         double target = rng.nextDouble() * dist_sum;
@@ -61,47 +125,145 @@ seedCentroids(const std::vector<std::vector<double>> &points,
                 break;
             }
         }
-        centroids.push_back(points[chosen]);
+        append(chosen);
     }
     return centroids;
 }
 
-/** One full Lloyd run; returns the result for these initial centroids. */
+/**
+ * One full Lloyd run from the given k x dim row-major centroids, with
+ * the Hamerly-bounded assignment step described in kmeans.h.
+ */
 KMeansResult
-lloyd(const std::vector<std::vector<double>> &points,
-      const std::vector<double> &weights,
-      std::vector<std::vector<double>> centroids, unsigned max_iterations,
+lloyd(const FlatPoints &points, const std::vector<double> &weights,
+      unsigned k, std::vector<double> centroids, unsigned max_iterations,
       ThreadPool *pool)
 {
-    const size_t n = points.size();
-    const unsigned k = static_cast<unsigned>(centroids.size());
-    const size_t dim = points[0].size();
+    const size_t n = points.n;
+    const size_t dim = points.dim;
+    const auto centroid = [&](unsigned c) {
+        return centroids.data() + c * dim;
+    };
 
     std::vector<unsigned> assignment(n, 0);
+    // upper[i] bounds point i's distance to its own centroid from
+    // above, lower[i] its distance to every other centroid from below;
+    // half_gap[c] is half the distance from c to its nearest other
+    // centroid, shift[c] how far c moved in the last update, and
+    // previous holds the centroids of the last pass.
+    std::vector<double> upper(n);
+    std::vector<double> lower(n);
+    std::vector<double> half_gap(k);
+    std::vector<double> shift(k);
+    std::vector<double> previous;
+    // Largest |coordinate| of the points and of every centroid so far.
+    double max_abs = points.maxAbsCoordinate;
 
-    // Assignment step: each point's nearest centroid depends only on
-    // immutable snapshot state, and ties break toward the lowest
-    // centroid index (strict <) — independent of execution order, so
-    // this parallelizes bit-identically. @return true when any
+    const size_t chunks = (n + kAssignChunk - 1) / kAssignChunk;
+    std::vector<uint64_t> chunk_evaluations(chunks);
+    std::vector<char> chunk_changed(chunks);
+    uint64_t passes = 0;
+    uint64_t evaluations = 0;
+
+    // Assignment step. A point keeps its centroid without a scan only
+    // when its bounds prove that the full scan would return that
+    // centroid; otherwise it gets that scan: every centroid, strict <,
+    // ties to the lowest index. Each point depends only on immutable
+    // centroid state and writes only its own slots, so the chunks run
+    // in any order with identical results. @return true when any
     // assignment moved.
     const auto assignPoints = [&]() {
-        std::atomic<bool> changed{false};
-        parallelFor(pool, 0, n, [&](uint64_t i) {
-            double best = std::numeric_limits<double>::max();
-            unsigned best_c = 0;
+        const bool bounded = !previous.empty();
+        double slack = 0.0;
+        double largest_shift = 0.0;
+        double second_shift = 0.0;
+        unsigned largest_c = 0;
+        if (bounded) {
+            max_abs = std::max(max_abs,
+                               maxAbs(centroids.data(), centroids.size()));
+            slack = boundSlack(max_abs, dim, max_iterations);
             for (unsigned c = 0; c < k; ++c) {
-                const double d = squaredDistance(points[i], centroids[c]);
-                if (d < best) {
-                    best = d;
-                    best_c = c;
+                shift[c] = std::sqrt(squaredDistance(
+                    previous.data() + c * dim, centroid(c), dim));
+                if (shift[c] > largest_shift) {
+                    second_shift = largest_shift;
+                    largest_shift = shift[c];
+                    largest_c = c;
+                } else if (shift[c] > second_shift) {
+                    second_shift = shift[c];
                 }
             }
-            if (assignment[i] != best_c) {
-                assignment[i] = best_c;
-                changed.store(true, std::memory_order_relaxed);
+            for (unsigned c = 0; c < k; ++c) {
+                double gap = std::numeric_limits<double>::infinity();
+                for (unsigned other = 0; other < k; ++other) {
+                    if (other != c)
+                        gap = std::min(gap, squaredDistance(
+                                                centroid(c), centroid(other),
+                                                dim));
+                }
+                half_gap[c] = 0.5 * std::sqrt(gap);
             }
-        }, 64);
-        return changed.load(std::memory_order_relaxed);
+        }
+
+        parallelFor(pool, 0, chunks, [&](uint64_t chunk) {
+            const size_t end = std::min(n, (chunk + 1) * kAssignChunk);
+            uint64_t chunk_work = 0;
+            bool moved = false;
+            for (size_t i = chunk * kAssignChunk; i < end; ++i) {
+                const double *point = points.row(i);
+                const unsigned own = assignment[i];
+                // Distance to the own centroid once re-tightened; the
+                // scan reuses it (the kernel gives the same bits).
+                double own_d = 0.0;
+                if (bounded) {
+                    upper[i] += shift[own];
+                    lower[i] -= own == largest_c ? second_shift
+                                                 : largest_shift;
+                    const double bound = std::max(half_gap[own], lower[i]);
+                    if (upper[i] + slack < bound)
+                        continue;
+                    own_d = squaredDistance(point, centroid(own), dim);
+                    upper[i] = std::sqrt(own_d);
+                    if (upper[i] + slack < bound) {
+                        ++chunk_work;
+                        continue;
+                    }
+                }
+                double best = std::numeric_limits<double>::max();
+                double runner_up = std::numeric_limits<double>::infinity();
+                unsigned best_c = 0;
+                for (unsigned c = 0; c < k; ++c) {
+                    const double d = bounded && c == own
+                        ? own_d
+                        : squaredDistance(point, centroid(c), dim);
+                    if (d < best) {
+                        runner_up = best;
+                        best = d;
+                        best_c = c;
+                    } else if (d < runner_up) {
+                        runner_up = d;
+                    }
+                }
+                chunk_work += k;
+                upper[i] = std::sqrt(best);
+                lower[i] = std::sqrt(runner_up);
+                if (own != best_c) {
+                    assignment[i] = best_c;
+                    moved = true;
+                }
+            }
+            chunk_evaluations[chunk] = chunk_work;
+            chunk_changed[chunk] = moved;
+        });
+
+        previous = centroids;
+        ++passes;
+        bool changed = false;
+        for (size_t chunk = 0; chunk < chunks; ++chunk) {
+            evaluations += chunk_evaluations[chunk];
+            changed = changed || chunk_changed[chunk];
+        }
+        return changed;
     };
 
     // True when the loop exits converged: the final assignment was
@@ -109,6 +271,7 @@ lloyd(const std::vector<std::vector<double>> &points,
     // consistent.
     bool consistent = false;
 
+    std::vector<double> cluster_weight(k);
     for (unsigned iter = 0; iter < max_iterations; ++iter) {
         if (!assignPoints() && iter > 0) {
             consistent = true;
@@ -116,19 +279,21 @@ lloyd(const std::vector<std::vector<double>> &points,
         }
 
         // Recompute weighted centroids.
-        std::vector<double> cluster_weight(k, 0.0);
-        for (auto &centroid : centroids)
-            std::fill(centroid.begin(), centroid.end(), 0.0);
+        std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
+        std::fill(centroids.begin(), centroids.end(), 0.0);
         for (size_t i = 0; i < n; ++i) {
             const unsigned c = assignment[i];
+            const double *point = points.row(i);
+            double *sum = centroid(c);
             cluster_weight[c] += weights[i];
             for (size_t d = 0; d < dim; ++d)
-                centroids[c][d] += weights[i] * points[i][d];
+                sum[d] += weights[i] * point[d];
         }
         for (unsigned c = 0; c < k; ++c) {
+            double *mean = centroid(c);
             if (cluster_weight[c] > 0.0) {
                 for (size_t d = 0; d < dim; ++d)
-                    centroids[c][d] /= cluster_weight[c];
+                    mean[d] /= cluster_weight[c];
             } else {
                 // Empty cluster: reseed to the point farthest from its
                 // centroid.
@@ -136,13 +301,14 @@ lloyd(const std::vector<std::vector<double>> &points,
                 size_t worst_i = 0;
                 for (size_t i = 0; i < n; ++i) {
                     const double d = squaredDistance(
-                        points[i], centroids[assignment[i]]);
+                        points.row(i), centroid(assignment[i]), dim);
                     if (d > worst) {
                         worst = d;
                         worst_i = i;
                     }
                 }
-                centroids[c] = points[worst_i];
+                std::copy(points.row(worst_i), points.row(worst_i) + dim,
+                          mean);
             }
         }
     }
@@ -157,14 +323,43 @@ lloyd(const std::vector<std::vector<double>> &points,
 
     KMeansResult result;
     result.k = k;
-    result.assignment = std::move(assignment);
     result.weightedSse = 0.0;
     for (size_t i = 0; i < n; ++i) {
         result.weightedSse += weights[i] *
-            squaredDistance(points[i], centroids[result.assignment[i]]);
+            squaredDistance(points.row(i), centroid(assignment[i]), dim);
     }
-    result.centroids = std::move(centroids);
+    result.assignment = std::move(assignment);
+    result.centroids.reserve(k);
+    for (unsigned c = 0; c < k; ++c)
+        result.centroids.emplace_back(centroid(c), centroid(c) + dim);
+    result.iterations = passes;
+    result.distanceEvaluations = evaluations;
     return result;
+}
+
+/** kmeansCluster() on flattened points. */
+KMeansResult
+kmeansFlat(const FlatPoints &points, const std::vector<double> &weights,
+           unsigned k, uint64_t seed, unsigned max_iterations,
+           unsigned restarts, ThreadPool *pool)
+{
+    KMeansResult best;
+    best.weightedSse = std::numeric_limits<double>::max();
+    uint64_t iterations = 0;
+    uint64_t evaluations = 0;
+    for (unsigned r = 0; r < std::max(1u, restarts); ++r) {
+        Rng rng(hashMix(seed + r * 0x9E37u + k));
+        KMeansResult candidate =
+            lloyd(points, weights, k, seedCentroids(points, weights, k, rng),
+                  max_iterations, pool);
+        iterations += candidate.iterations;
+        evaluations += candidate.distanceEvaluations;
+        if (candidate.weightedSse < best.weightedSse)
+            best = std::move(candidate);
+    }
+    best.iterations = iterations;
+    best.distanceEvaluations = evaluations;
+    return best;
 }
 
 } // namespace
@@ -177,18 +372,8 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
     BP_ASSERT(!points.empty(), "k-means requires points");
     BP_ASSERT(points.size() == weights.size(), "weights/points mismatch");
     BP_ASSERT(k >= 1 && k <= points.size(), "k out of range");
-
-    KMeansResult best;
-    best.weightedSse = std::numeric_limits<double>::max();
-    for (unsigned r = 0; r < std::max(1u, restarts); ++r) {
-        Rng rng(hashMix(seed + r * 0x9E37u + k));
-        KMeansResult candidate =
-            lloyd(points, weights, seedCentroids(points, weights, k, rng),
-                  max_iterations, pool);
-        if (candidate.weightedSse < best.weightedSse)
-            best = std::move(candidate);
-    }
-    return best;
+    return kmeansFlat(FlatPoints(points), weights, k, seed, max_iterations,
+                      restarts, pool);
 }
 
 double
@@ -248,15 +433,17 @@ clusterSignatures(const std::vector<std::vector<double>> &points,
     // sweep's parallelFor (worker or participating caller) and fall
     // back to serial, so the two levels compose safely; when the
     // sweep is too small to dispatch, the assignment step's own
-    // parallelism takes over instead.
+    // parallelism takes over instead. Every k and restart reads one
+    // row-major copy of the points.
+    const FlatPoints flat(points);
+    BP_ASSERT(flat.n == weights.size(), "weights/points mismatch");
     std::vector<KMeansResult> by_k(max_k);
     ClusteringResult out;
     out.bicByK.resize(max_k);
     parallelFor(pool, 0, max_k, [&](uint64_t idx) {
         const unsigned k = static_cast<unsigned>(idx) + 1;
-        by_k[idx] = kmeansCluster(points, weights, k, config.seed,
-                                  config.maxIterations, config.restarts,
-                                  pool);
+        by_k[idx] = kmeansFlat(flat, weights, k, config.seed,
+                               config.maxIterations, config.restarts, pool);
         out.bicByK[idx] = bicScore(points, weights, by_k[idx]);
     });
 
@@ -347,12 +534,7 @@ MiniBatchLloyd::nearest(const double *point, double *dist_out) const
     double best = std::numeric_limits<double>::max();
     unsigned best_c = 0;
     for (unsigned c = 0; c < k(); ++c) {
-        const double *centroid = centroids_[c].data();
-        double d = 0.0;
-        for (unsigned i = 0; i < dim_; ++i) {
-            const double diff = point[i] - centroid[i];
-            d += diff * diff;
-        }
+        const double d = squaredDistance(point, centroids_[c].data(), dim_);
         if (d < best) {
             best = d;
             best_c = c;

@@ -7,6 +7,51 @@
  * aggregate instruction count, k is swept from 1 to maxK, and the
  * chosen k is the smallest whose BIC score reaches a fixed fraction
  * of the observed BIC range (SimPoint's selection rule).
+ *
+ * Lloyd's assignment step is Hamerly's ("Making k-means even faster",
+ * SDM 2010), made exact to the bit. Every point i keeps an upper bound
+ * u_i on its distance to its own centroid a and a lower bound l_i on
+ * its distance to every other centroid; every centroid c keeps s_c,
+ * half the distance to its nearest other centroid. When the centroids
+ * move, u_i grows by a's displacement and l_i shrinks by the largest
+ * displacement among the others (triangle inequality). A point skips
+ * its scan only when
+ *
+ *     u_i + slack < max(s_a, l_i)
+ *
+ * Otherwise it re-tightens u_i with one exact distance and tests
+ * again, and if that still fails it gets the full scan: every
+ * centroid, strict <, ties to the lowest index. Without rounding,
+ * passing the test means every other centroid is strictly farther
+ * than a (directly through l_i, or because d(c, a) >= 2 s_a > 2 u_i),
+ * so the full scan would return a. Exact ties, ties within the slack
+ * and coincident centroids never pass it; they always reach the full
+ * scan. The centroid update keeps its index-order sums, so the
+ * assignments, centroids, SSE, BIC and chosen k are bit-identical to a
+ * full scan on every pass (tests/kmeans_oracle_test.cpp holds that
+ * baseline).
+ *
+ * The slack carries that argument over to the computed values, which
+ * are rounded. Let eps = DBL_EPSILON / 2 and R = sqrt(dim) times the
+ * largest |coordinate| among the points and every centroid of the run
+ * so far: all of them lie within R of the origin, so every distance is
+ * at most 2R, and every bound is at most 4R when tested (at most 2R
+ * after its last test, plus one displacement of at most 2R). Then
+ *   - a computed distance (dim rounded differences, squares and sums,
+ *     and a square root) is off by at most (dim + 6) eps R;
+ *   - u_i and l_i collect that error once when set and once per
+ *     centroid update since (the displacement), plus one rounded
+ *     addition of at most 4 eps R per update, and a run has at most
+ *     max_iterations updates;
+ *   - s_a is one computed distance, halved;
+ *   - the full scan's computed squared distances put a strictly first
+ *     once the true distances to a and to any other centroid differ by
+ *     more than (2 dim + 5) eps R.
+ * Summed over u_i, l_i or s_a, and that last margin, the rounding stays
+ * below (max_iterations + 2) (dim + 9) DBL_EPSILON R. The slack is four
+ * times that. It is infinite, so that every point gets the full scan,
+ * when a coordinate is not finite or R lies outside [1e-100, 1e150],
+ * where squared distances could overflow or underflow.
  */
 
 #ifndef BP_CORE_KMEANS_H
@@ -32,13 +77,24 @@ struct ClusteringConfig
     uint64_t seed = 127;         ///< projection and k-means seed
 };
 
-/** Result of one weighted k-means run. */
+/**
+ * Result of one weighted k-means call: the clustering of its best
+ * restart, and the work of all its restarts. The work counters are
+ * exact and the same for any pool.
+ */
 struct KMeansResult
 {
     unsigned k = 0;
     std::vector<unsigned> assignment;            ///< point -> cluster
     std::vector<std::vector<double>> centroids;  ///< k x dim
     double weightedSse = 0.0;
+    /** Assignment passes (Lloyd iterations, counting the final pass
+     *  that confirms convergence or re-pairs the assignment with the
+     *  centroids), summed over restarts. A full scan evaluates
+     *  n * k distances per pass. */
+    uint64_t iterations = 0;
+    /** Point-to-centroid distances those passes evaluated. */
+    uint64_t distanceEvaluations = 0;
 };
 
 /**
@@ -48,8 +104,9 @@ struct KMeansResult
  * @param weights n non-negative weights
  * @param k       number of clusters (1 <= k <= n)
  * @param seed    deterministic seeding
- * @param pool    optional worker pool for the assignment step; the
- *                result is bit-identical with or without it
+ * @param pool    optional worker pool for the assignment step, which
+ *                it runs in chunks of points; the result is
+ *                bit-identical with or without it
  */
 KMeansResult kmeansCluster(const std::vector<std::vector<double>> &points,
                            const std::vector<double> &weights, unsigned k,

@@ -161,12 +161,7 @@ double
 squaredDistance(const std::vector<double> &a, const std::vector<double> &b)
 {
     BP_ASSERT(a.size() == b.size(), "dimension mismatch");
-    double sum = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        sum += d * d;
-    }
-    return sum;
+    return squaredDistance(a.data(), b.data(), a.size());
 }
 
 } // namespace bp

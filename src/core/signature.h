@@ -20,6 +20,7 @@
 #ifndef BP_CORE_SIGNATURE_H
 #define BP_CORE_SIGNATURE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,7 +75,25 @@ SparseSignature buildSignature(const RegionProfile &profile,
 std::vector<double> projectSignature(const SparseSignature &signature,
                                      unsigned dim, uint64_t seed);
 
-/** Squared Euclidean distance between two equal-length vectors. */
+/**
+ * Squared Euclidean distance between two rows of @p dim doubles: the
+ * library's one squared-distance loop. Every distance that k-means,
+ * BIC scoring and barrierpoint selection compute goes through it, so
+ * all of them sum the coordinates in the same (index) order and the
+ * same pair of rows always gives the same bits.
+ */
+inline double
+squaredDistance(const double *a, const double *b, size_t dim)
+{
+    double sum = 0.0;
+    for (size_t i = 0; i < dim; ++i) {
+        const double d = a[i] - b[i];
+        sum += d * d;
+    }
+    return sum;
+}
+
+/** squaredDistance() of two equal-length vectors. */
 double squaredDistance(const std::vector<double> &a,
                        const std::vector<double> &b);
 

@@ -134,6 +134,12 @@ TEST(CliTest, BadOptionValueIsAUsageError)
         runCli("profile --workload npb-is --threads 1025 -o /dev/null");
     EXPECT_EQ(range.exitCode, 2);
 
+    // 2^32 + 1 used to wrap to 1 thread and run.
+    const RunResult wrapped = runCli(
+        "profile --workload npb-is --threads 4294967297 -o /dev/null");
+    EXPECT_EQ(wrapped.exitCode, 2);
+    EXPECT_NE(wrapped.output.find("4294967297"), std::string::npos);
+
     const RunResult missing = runCli("analyze --profile");
     EXPECT_EQ(missing.exitCode, 2);
     EXPECT_NE(missing.output.find("missing its value"),
@@ -182,6 +188,29 @@ TEST(CliTest, IntegerOptionsRejectEveryStrtoullLeniency)
         EXPECT_NE(result.output.find("sampled_adaptive"),
                   std::string::npos)
             << bad;
+    }
+}
+
+TEST(CliTest, ClusteringCountsOutOfRangeAreUsageErrors)
+{
+    // --max-k and --dim feed unsigned clustering parameters: zero used
+    // to panic (exit 134) and 2^32 + 2 to run silently as 2. Both
+    // analyze and sweep reject them before touching any input.
+    for (const std::string bad : {"0", "4294967296", "4294967298"}) {
+        for (const std::string option : {"--max-k", "--dim"}) {
+            const RunResult analyze =
+                runCli("analyze --profile missing.bp -o /dev/null " +
+                       option + " " + bad);
+            EXPECT_EQ(analyze.exitCode, 2) << option << " " << bad;
+            EXPECT_NE(analyze.output.find(option), std::string::npos)
+                << option << " " << bad;
+
+            const RunResult sweep =
+                runCli("sweep --workload npb-is " + option + " " + bad);
+            EXPECT_EQ(sweep.exitCode, 2) << option << " " << bad;
+            EXPECT_NE(sweep.output.find(option), std::string::npos)
+                << option << " " << bad;
+        }
     }
 }
 

@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -402,14 +403,16 @@ workloadSpecFromArgs(const Args &args)
         return spec;
     }
 
-    spec.threads = static_cast<unsigned>(args.integer("--threads", 8));
+    // Range-checked before narrowing: 2^32 + 1 must not wrap to 1.
+    const uint64_t threads = args.integer("--threads", 8);
     spec.scale = args.real("--scale", 1.0);
     spec.seed = args.integer("--seed", 12345);
     checkWorkloadName(spec.name);
-    if (spec.threads < 1 || spec.threads > kMaxCores)
+    if (threads < 1 || threads > kMaxCores)
         throw UsageError("--threads must be in [1, " +
                          std::to_string(kMaxCores) + "], got " +
-                         std::to_string(spec.threads));
+                         std::to_string(threads));
+    spec.threads = static_cast<unsigned>(threads);
     if (spec.scale <= 0.0)
         throw UsageError("--scale must be positive");
     return spec;
@@ -427,6 +430,19 @@ jobsFromArgs(const Args &args)
     return static_cast<unsigned>(jobs);
 }
 
+/** A count option in [1, UINT32_MAX]: zero would panic the clustering
+ *  stage and a wider value would wrap. */
+unsigned
+countFromArgs(const Args &args, const std::string &key, unsigned fallback)
+{
+    const uint64_t count = args.integer(key, fallback);
+    if (count == 0 || count > std::numeric_limits<uint32_t>::max())
+        throw UsageError(key + " must be in [1, " +
+                         std::to_string(std::numeric_limits<uint32_t>::max()) +
+                         "], got " + std::to_string(count));
+    return static_cast<unsigned>(count);
+}
+
 BarrierPointOptions
 analysisOptionsFromArgs(const Args &args)
 {
@@ -434,9 +450,9 @@ analysisOptionsFromArgs(const Args &args)
     options.signature.kind =
         parseSignatureKind(args.optional("--signature", "combine"));
     options.clustering.dim =
-        static_cast<unsigned>(args.integer("--dim", options.clustering.dim));
-    options.clustering.maxK = static_cast<unsigned>(
-        args.integer("--max-k", options.clustering.maxK));
+        countFromArgs(args, "--dim", options.clustering.dim);
+    options.clustering.maxK =
+        countFromArgs(args, "--max-k", options.clustering.maxK);
     options.significance =
         args.real("--significance", options.significance);
     return options;
