@@ -100,7 +100,7 @@ BM_AnalyzeWorkload_Threads(benchmark::State &state)
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
         const auto analysis =
-            analyzeProfiles(profileWorkload(*workload, pool), options,
+            analyzeProfiles(profileWorkload(*workload, {}, pool), options,
                             pool);
         benchmark::DoNotOptimize(analysis.points.size());
     }
@@ -138,7 +138,7 @@ BM_AnalyzeAndSimulate_Threads(benchmark::State &state)
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
         const auto analysis =
-            analyzeProfiles(profileWorkload(*workload, pool), options,
+            analyzeProfiles(profileWorkload(*workload, {}, pool), options,
                             pool);
         const auto stats = simulateBarrierPoints(
             *workload, machine, analysis, WarmupPolicy::MruReplay, pool);

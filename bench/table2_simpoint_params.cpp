@@ -22,8 +22,8 @@ main()
                 cfg.maxK);
     std::printf("%-44s %s\n", "-fixedLength (fixed-size intervals)",
                 "off (variable-length inter-barrier regions)");
-    std::printf("%-44s %.0f%%\n", "-coveragePct (fraction covered)",
-                100.0 * cfg.coveragePct);
+    std::printf("%-44s %s\n", "-coveragePct (fraction covered)",
+                "100% (every region is represented)");
     std::printf("%-44s %u\n", "k-means restarts per k", cfg.restarts);
     std::printf("%-44s %.2f\n", "BIC threshold (fraction of range)",
                 cfg.bicThreshold);

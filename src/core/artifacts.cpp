@@ -49,11 +49,28 @@ deserializeMruEntry(Deserializer &d)
     return entry;
 }
 
+// The stage payloads saveArtifact() writes after a profile's or a
+// snapshot set's provenance fields; artifactPayloadDigest() hashes
+// exactly these bytes.
+
 void
-serializeSnapshots(Serializer &s, const MruSnapshotSet &snapshots)
+serializeProfilesPayload(Serializer &s, const ProfileArtifact &artifact)
 {
-    s.size(snapshots.size());
-    for (const auto &per_core : snapshots) {
+    s.size(artifact.profiles.size());
+    for (const RegionProfile &profile : artifact.profiles)
+        profile.serialize(s);
+}
+
+void
+serializeSnapshotsPayload(Serializer &s, const SnapshotArtifact &artifact)
+{
+    s.u64(artifact.capacityLines);
+    s.u64(artifact.privateLines);
+    s.size(artifact.regions.size());
+    for (const uint32_t region : artifact.regions)
+        s.u32(region);
+    s.size(artifact.snapshots.size());
+    for (const auto &per_core : artifact.snapshots) {
         s.size(per_core.size());
         for (const auto &entries : per_core) {
             s.size(entries.size());
@@ -129,15 +146,12 @@ WorkloadSpec::hash() const
 uint64_t
 optionsHash(const BarrierPointOptions &options)
 {
-    // threads is intentionally left out: results are bit-identical
-    // for any worker count (see the determinism contract).
     Serializer s;
     s.u32(static_cast<uint32_t>(options.signature.kind));
     s.f64(options.signature.ldvWeightInvV);
     s.boolean(options.signature.concatenateThreads);
     s.u32(options.clustering.dim);
     s.u32(options.clustering.maxK);
-    s.f64(options.clustering.coveragePct);
     s.u32(options.clustering.restarts);
     s.u32(options.clustering.maxIterations);
     s.f64(options.clustering.bicThreshold);
@@ -181,9 +195,7 @@ saveArtifact(const std::string &path, const ProfileArtifact &artifact)
     Serializer s;
     artifact.workload.serialize(s);
     serializeProfilingConfig(s, artifact.profiling);
-    s.size(artifact.profiles.size());
-    for (const RegionProfile &profile : artifact.profiles)
-        profile.serialize(s);
+    serializeProfilesPayload(s, artifact);
     writeArtifactFile(path, static_cast<uint32_t>(ArtifactKind::Profile), s);
 }
 
@@ -230,12 +242,7 @@ saveArtifact(const std::string &path, const SnapshotArtifact &artifact)
 {
     Serializer s;
     artifact.workload.serialize(s);
-    s.u64(artifact.capacityLines);
-    s.u64(artifact.privateLines);
-    s.size(artifact.regions.size());
-    for (const uint32_t region : artifact.regions)
-        s.u32(region);
-    serializeSnapshots(s, artifact.snapshots);
+    serializeSnapshotsPayload(s, artifact);
     writeArtifactFile(path, static_cast<uint32_t>(ArtifactKind::Snapshots),
                       s);
 }
@@ -283,6 +290,32 @@ loadRunResultArtifact(const std::string &path)
     artifact.result.deserialize(d);
     d.expectEnd();
     return artifact;
+}
+
+uint64_t
+artifactPayloadDigest(const std::string &path)
+{
+    Serializer s;
+    switch (static_cast<ArtifactKind>(readArtifactKind(path))) {
+      case ArtifactKind::Profile:
+        serializeProfilesPayload(s, loadProfileArtifact(path));
+        break;
+      case ArtifactKind::Analysis:
+        loadAnalysisArtifact(path).analysis.serialize(s);
+        break;
+      case ArtifactKind::Snapshots:
+        serializeSnapshotsPayload(s, loadSnapshotArtifact(path));
+        break;
+      case ArtifactKind::RunResult:
+        loadRunResultArtifact(path).result.serialize(s);
+        break;
+      default:
+        // Not a plausible artifact; let the strict loader produce the
+        // precise magic/version/kind diagnostic.
+        loadProfileArtifact(path);
+        break;
+    }
+    return fnv1aHash(s.buffer().data(), s.buffer().size());
 }
 
 // ------------------------------------------------------ signature spill

@@ -85,11 +85,12 @@ struct WorkloadSpec
 };
 
 /**
- * Content hash of everything in @p options that changes the analysis
- * *result*: signature and clustering configuration plus the
- * significance threshold. `options.threads` is deliberately excluded
- * — results are bit-identical for any worker count, so an artifact
- * computed at one thread count is valid at every other.
+ * Content hash of every field of @p options — signature, clustering
+ * and profiling configuration plus the significance threshold — all
+ * of which change the analysis *result*. The worker count is not an
+ * option (it lives in the ExecutionContext): results are bit-identical
+ * for any worker count, so an artifact computed at one is valid at
+ * every other.
  *
  * Embedded in AnalysisArtifact/RunResultArtifact so a stale artifact
  * (same workload, different knobs) is detected and recomputed instead
@@ -159,6 +160,19 @@ ProfileArtifact loadProfileArtifact(const std::string &path);
 AnalysisArtifact loadAnalysisArtifact(const std::string &path);
 SnapshotArtifact loadSnapshotArtifact(const std::string &path);
 RunResultArtifact loadRunResultArtifact(const std::string &path);
+
+/**
+ * Content digest (FNV-1a) of the stage payload of the artifact at
+ * @p path, whatever its kind: the profiles, the analysis, the
+ * snapshots with their capture sizes and regions, or the run result.
+ * Provenance fields (WorkloadSpec, profiling config, options hash,
+ * machine and flavor names) say how the data was produced, not what
+ * it is, and are left out — so two runs that produced the same data
+ * different ways, e.g. a trace replay and the synthetic workload it
+ * recorded, digest equal. The artifact is loaded, and so validated,
+ * first: throws SerializeError like the loaders.
+ */
+uint64_t artifactPayloadDigest(const std::string &path);
 
 /**
  * Append-only spill file of projected signature points — the

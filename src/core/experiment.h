@@ -67,8 +67,7 @@ class Experiment
   public:
     struct Config
     {
-        /** Analysis knobs. `options.threads` is ignored — parallelism
-         *  comes from the ExecutionContext. */
+        /** Analysis knobs; parallelism comes from the ExecutionContext. */
         BarrierPointOptions options;
 
         /**

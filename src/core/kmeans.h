@@ -70,7 +70,6 @@ struct ClusteringConfig
 {
     unsigned dim = 15;           ///< projected dimensions (-dim)
     unsigned maxK = 20;          ///< maximum clusters (-maxK)
-    double coveragePct = 1.0;    ///< fraction of weight to cover
     unsigned restarts = 5;       ///< k-means restarts per k
     unsigned maxIterations = 100;
     double bicThreshold = 0.9;   ///< fraction of the BIC range

@@ -19,12 +19,6 @@ warmupPolicyName(WarmupPolicy policy)
 }
 
 std::vector<RegionProfile>
-profileWorkload(const Workload &workload, const ExecutionContext &exec)
-{
-    return profileWorkload(workload, ProfilingConfig{}, exec);
-}
-
-std::vector<RegionProfile>
 profileWorkload(const Workload &workload, const ProfilingConfig &profiling,
                 const ExecutionContext &exec)
 {
@@ -116,45 +110,10 @@ projectProfiles(const std::vector<RegionProfile> &profiles,
 
 BarrierPointAnalysis
 analyzeProfiles(const std::vector<RegionProfile> &profiles,
-                const BarrierPointOptions &options)
-{
-    return analyzeProfiles(profiles, options,
-                           ExecutionContext(options.threads));
-}
-
-namespace {
-
-/**
- * The (options, exec) overloads draw parallelism from the context,
- * not options.threads (see the field's doc) — flag the conflicting
- * case instead of silently running a different worker count than the
- * caller configured.
- */
-void
-warnIfThreadsConflict(const BarrierPointOptions &options,
-                      const ExecutionContext &exec, const char *where)
-{
-    if (options.threads == 1)
-        return;  // default: the caller never asked for a count
-    const unsigned requested = options.threads == 0
-        ? ThreadPool::hardwareThreads()
-        : options.threads;
-    if (requested != exec.threadCount())
-        warn("%s: options.threads requests %u workers but the supplied "
-             "ExecutionContext runs %u; the context wins (results are "
-             "bit-identical either way)",
-             where, requested, exec.threadCount());
-}
-
-} // namespace
-
-BarrierPointAnalysis
-analyzeProfiles(const std::vector<RegionProfile> &profiles,
                 const BarrierPointOptions &options,
                 const ExecutionContext &exec)
 {
     BP_ASSERT(!profiles.empty(), "no profiles to analyze");
-    warnIfThreadsConflict(options, exec, "analyzeProfiles");
 
     const auto points = projectProfiles(profiles, options.signature,
                                         options.clustering, exec);
@@ -172,15 +131,6 @@ analyzeProfiles(const std::vector<RegionProfile> &profiles,
         clusterSignatures(points, weights, options.clustering, &exec.pool());
     return selectBarrierPoints(clustering, points, instructions,
                                options.significance);
-}
-
-BarrierPointAnalysis
-analyzeWorkload(const Workload &workload, const BarrierPointOptions &options)
-{
-    // One pool shared by every stage: profiling, projection,
-    // clustering.
-    return analyzeWorkload(workload, options,
-                           ExecutionContext(options.threads));
 }
 
 BarrierPointAnalysis

@@ -24,18 +24,23 @@
  * reconstruction.h turns barrierpoint stats into whole-program
  * estimates.
  *
+ * Every parallel stage takes its knobs, then a trailing
+ * ExecutionContext (support/execution_context.h — implicitly
+ * constructible from a thread count or a shared ThreadPool) that is
+ * serial when omitted. The context is the only source of workers; no
+ * options struct carries a worker count.
+ *
  * Threading model: inter-barrier regions are independent units of
  * work (the paper's central observation), so every stage runs its
- * region-indexed loop on the ExecutionContext's pool
- * (support/execution_context.h — implicitly constructible from a
- * thread count or a shared ThreadPool): trace generation and
- * per-thread profiling in profileWorkload(), signature projection in
- * projectProfiles(), the k sweep and assignment step of clustering,
- * and per-barrierpoint simulation in simulateBarrierPoints(). Only
- * MRU snapshot capture is inherently serial (a streaming scan of the
- * whole run). Determinism contract: results are collected in index
- * order and every task touches only state owned by its index, so
- * output is bit-identical to the serial path for any thread count.
+ * region-indexed loop on the ExecutionContext's pool: trace
+ * generation and per-thread profiling in profileWorkload(), signature
+ * projection in projectProfiles(), the k sweep and assignment step of
+ * clustering, and per-barrierpoint simulation in
+ * simulateBarrierPoints(). Only MRU snapshot capture is inherently
+ * serial (a streaming scan of the whole run). Determinism contract:
+ * results are collected in index order and every task touches only
+ * state owned by its index, so output is bit-identical to the serial
+ * path for any thread count.
  */
 
 #ifndef BP_CORE_PIPELINE_H
@@ -61,17 +66,6 @@ struct BarrierPointOptions
     /** Reuse-distance collection mode (exact, or SHARDS-sampled). */
     ProfilingConfig profiling;
     double significance = 0.001;  ///< Table III's 0.1 % threshold
-
-    /**
-     * Pipeline workers (0 = hardware) — consulted ONLY by the
-     * overloads that build their own ExecutionContext. The (options,
-     * exec) overloads and bp::Experiment draw parallelism from the
-     * context they are given instead; they warn when a non-default
-     * thread count conflicts with the context's, since results are
-     * bit-identical either way but the worker count is not what this
-     * field says.
-     */
-    unsigned threads = 1;
 };
 
 /**
@@ -92,23 +86,16 @@ class RegionProfileSink
 /**
  * Profile every region of @p workload, in execution order.
  *
- * With a multi-executor @p exec, trace generation runs ahead of the
- * profiler via lookahead prefetch and per-thread profiling fans out,
- * while the region-order reuse-distance state still advances
- * serially. Pass a thread count or a shared ThreadPool.
+ * @p profiling selects the reuse-distance mode: the default is exact;
+ * SHARDS modes trade a bounded LDV error for ~1/rate less
+ * stack-distance work (see profile/profiling_config.h). With a
+ * multi-executor @p exec, trace generation runs ahead of the profiler
+ * via lookahead prefetch and per-thread profiling fans out, while the
+ * region-order reuse-distance state still advances serially.
  */
-std::vector<RegionProfile> profileWorkload(const Workload &workload,
-                                           const ExecutionContext &exec = {});
-
-/**
- * As above with an explicit reuse-distance mode: the default-config
- * overload is exact and byte-identical to pre-knob profiles; SHARDS
- * modes trade a bounded LDV error for ~1/rate less stack-distance
- * work (see profile/profiling_config.h).
- */
-std::vector<RegionProfile> profileWorkload(const Workload &workload,
-                                           const ProfilingConfig &profiling,
-                                           const ExecutionContext &exec = {});
+std::vector<RegionProfile> profileWorkload(
+    const Workload &workload, const ProfilingConfig &profiling = {},
+    const ExecutionContext &exec = {});
 
 /**
  * The streaming core of profileWorkload(): profile every region in
@@ -131,29 +118,20 @@ std::vector<std::vector<double>> projectProfiles(
 
 /**
  * Run the full analysis on existing profiles (lets callers sweep
- * signature/clustering settings without re-profiling). Runs
- * options.threads workers.
+ * signature/clustering settings without re-profiling).
  */
 BarrierPointAnalysis analyzeProfiles(
     const std::vector<RegionProfile> &profiles,
-    const BarrierPointOptions &options = {});
-
-/** As above, on an existing context (options.threads is ignored). */
-BarrierPointAnalysis analyzeProfiles(
-    const std::vector<RegionProfile> &profiles,
-    const BarrierPointOptions &options, const ExecutionContext &exec);
+    const BarrierPointOptions &options = {},
+    const ExecutionContext &exec = {});
 
 /**
- * Convenience: profile + analyze in one call. One pool of
- * options.threads workers is shared by every stage.
+ * Convenience: profile + analyze in one call, every stage on the
+ * pool of @p exec.
  */
 BarrierPointAnalysis analyzeWorkload(const Workload &workload,
-                                     const BarrierPointOptions &options = {});
-
-/** As above, on an existing context (options.threads is ignored). */
-BarrierPointAnalysis analyzeWorkload(const Workload &workload,
-                                     const BarrierPointOptions &options,
-                                     const ExecutionContext &exec);
+                                     const BarrierPointOptions &options = {},
+                                     const ExecutionContext &exec = {});
 
 /** Detailed simulation of the complete application (the reference). */
 RunResult runReference(const Workload &workload,

@@ -1,7 +1,6 @@
 #include "src/core/selection.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/core/signature.h"
 #include "src/support/logging.h"
@@ -140,131 +139,47 @@ selectBarrierPoints(const ClusteringResult &clustering,
                   region_instructions.size() == n,
               "clustering/points/instruction-count size mismatch");
 
-    BarrierPointAnalysis analysis;
-    analysis.regionInstructions = region_instructions;
-    analysis.bicByK = clustering.bicByK;
-    analysis.chosenK = km.k;
-
-    uint64_t total_instructions = 0;
-    for (const uint64_t count : region_instructions)
-        total_instructions += count;
-
-    // Per cluster: the aggregate instruction count.
-    std::vector<uint64_t> cluster_instructions(km.k, 0);
+    // The batch driver of the selection passes: each region's distance
+    // to its own centroid, computed once, so every pass sees the same
+    // distances in region order.
+    std::vector<double> dist(n);
     for (size_t i = 0; i < n; ++i)
-        cluster_instructions[km.assignment[i]] += region_instructions[i];
+        dist[i] = squaredDistance(points[i], km.centroids[km.assignment[i]]);
 
-    // The representative is the eligible region closest to the
-    // centroid. Many regions of a repetitive phase project to
-    // (nearly) identical points; among such near-ties the median
-    // occurrence is picked so the representative reflects
-    // steady-state behaviour rather than a cold-start transient at
-    // the front of the cluster. One policy (and one tolerance) for
-    // every pass below.
-    const auto pick_representative = [&](unsigned c,
-                                         auto &&eligible) -> int64_t {
-        double best = std::numeric_limits<double>::max();
-        for (size_t i = 0; i < n; ++i) {
-            if (km.assignment[i] == c && eligible(i))
-                best = std::min(best, squaredDistance(points[i],
-                                                      km.centroids[c]));
-        }
-        if (best == std::numeric_limits<double>::max())
-            return -1;
-        std::vector<uint32_t> ties;
-        for (size_t i = 0; i < n; ++i) {
-            if (km.assignment[i] != c || !eligible(i))
-                continue;
-            const double dist = squaredDistance(points[i],
-                                                km.centroids[c]);
-            if (dist <= best + 1e-9 * (1.0 + best))
-                ties.push_back(static_cast<uint32_t>(i));
-        }
-        return ties[ties.size() / 2];
-    };
+    std::vector<ClusterSelectionState> clusters(km.k);
+    for (size_t i = 0; i < n; ++i)
+        clusters[km.assignment[i]].observeDistance(
+            dist[i], region_instructions[i],
+            static_cast<double>(region_instructions[i]));
+    for (size_t i = 0; i < n; ++i)
+        clusters[km.assignment[i]].observeTieCount(dist[i],
+                                                   region_instructions[i]);
+    for (size_t i = 0; i < n; ++i)
+        clusters[km.assignment[i]].observePick(static_cast<uint32_t>(i),
+                                               dist[i],
+                                               region_instructions[i]);
 
-    std::vector<uint32_t> representative(km.k, 0);
-    std::vector<char> has_representative(km.k, 0);
-    for (unsigned c = 0; c < km.k; ++c) {
-        int64_t pick = pick_representative(
-            c, [](size_t) { return true; });
-        if (pick < 0)
-            continue;  // no region assigned: nothing to represent
-        // A representative with zero instructions gets multiplier 0,
-        // which silently drops its whole cluster's instruction mass
-        // from every reconstructed Estimate. When the cluster has
-        // nonzero aggregate instructions, some member can speak for
-        // that mass: re-pick among the nonzero-instruction members.
-        // Clusters whose every member is empty keep the unrestricted
-        // pick and a zero multiplier — there is no mass to lose.
-        if (region_instructions[pick] == 0 && cluster_instructions[c] > 0) {
-            pick = pick_representative(c, [&](size_t i) {
-                return region_instructions[i] > 0;
-            });
-            BP_ASSERT(pick >= 0,
-                      "cluster with instructions has no nonzero member");
-        }
-        representative[c] = static_cast<uint32_t>(pick);
-        has_representative[c] = 1;
-    }
-
-    // Emit barrierpoints ordered by region index.
-    std::vector<unsigned> cluster_order(km.k);
-    for (unsigned c = 0; c < km.k; ++c)
-        cluster_order[c] = c;
-    std::sort(cluster_order.begin(), cluster_order.end(),
-              [&](unsigned a, unsigned b) {
-                  return representative[a] < representative[b];
-              });
-
-    // Every cluster with at least one assigned region gets a
-    // barrierpoint, even when the cluster's aggregate instruction
-    // count is zero: skipping it would leave regionToPoint pointing
-    // at the cluster_to_point default and silently mis-attribute its
-    // regions to the first barrierpoint. Only clusters no region maps
-    // to (possible when k-means leaves a centroid unused) are
-    // skipped; their cluster_to_point slot is never read.
-    std::vector<unsigned> cluster_to_point(km.k, kNoClusterPoint);
-    for (const unsigned c : cluster_order) {
-        if (!has_representative[c])
-            continue;  // no region assigned: nothing to represent
-        BarrierPoint point;
-        point.region = representative[c];
-        point.cluster = c;
-        point.instructions = region_instructions[point.region];
-        point.multiplier = point.instructions > 0
-            ? static_cast<double>(cluster_instructions[c]) /
-                static_cast<double>(point.instructions)
-            : 0.0;
-        point.weightFraction = total_instructions > 0
-            ? static_cast<double>(cluster_instructions[c]) /
-                static_cast<double>(total_instructions)
-            : 0.0;
-        point.significant = point.weightFraction >= significance;
-        cluster_to_point[c] = static_cast<unsigned>(analysis.points.size());
-        analysis.points.push_back(point);
-    }
-
-    analysis.regionToPoint.resize(n);
+    std::vector<unsigned> cluster_to_point;
+    BarrierPointAnalysis analysis =
+        finalizeSelection(clusters, region_instructions, clustering.bicByK,
+                          significance, cluster_to_point);
     for (size_t i = 0; i < n; ++i) {
         const unsigned j = cluster_to_point[km.assignment[i]];
         BP_ASSERT(j != kNoClusterPoint,
                   "region assigned to an unemitted cluster");
         analysis.regionToPoint[i] = j;
     }
-
     return analysis;
 }
 
-// --------------------------------------------- streaming selection state
+// ------------------------------------------------------ selection policy
 
 bool
 ClusterSelectionState::withinTie(double dist, double best)
 {
-    // The batch pipeline's near-tie tolerance, verbatim: regions of a
-    // repetitive phase project to (nearly) identical points, and the
-    // median of the near-ties represents steady state rather than a
-    // cold-start transient.
+    // Regions of a repetitive phase project to (nearly) identical
+    // points; the median of the near-ties represents steady state
+    // rather than a cold-start transient at the front of the cluster.
     return dist <= best + 1e-9 * (1.0 + best);
 }
 
@@ -300,8 +215,8 @@ void
 ClusterSelectionState::observePick(uint32_t region, double dist,
                                    uint64_t region_instructions)
 {
-    // The median tie by stream position: ties arrive in region order,
-    // so the (tieCount / 2)-th one is exactly the batch pick.
+    // The median tie by position: ties arrive in region order, so the
+    // (tieCount / 2)-th one is the median occurrence.
     if (withinTie(dist, bestDist)) {
         if (tieSeen_ == tieCount / 2)
             pick = region;
@@ -316,10 +231,10 @@ ClusterSelectionState::observePick(uint32_t region, double dist,
 }
 
 BarrierPointAnalysis
-finalizeStreamingSelection(const std::vector<ClusterSelectionState> &clusters,
-                           std::vector<uint64_t> region_instructions,
-                           std::vector<double> bic_by_k, double significance,
-                           std::vector<unsigned> &cluster_to_point)
+finalizeSelection(const std::vector<ClusterSelectionState> &clusters,
+                  std::vector<uint64_t> region_instructions,
+                  std::vector<double> bic_by_k, double significance,
+                  std::vector<unsigned> &cluster_to_point)
 {
     const unsigned k = static_cast<unsigned>(clusters.size());
 
@@ -332,10 +247,12 @@ finalizeStreamingSelection(const std::vector<ClusterSelectionState> &clusters,
     for (const uint64_t count : analysis.regionInstructions)
         total_instructions += count;
 
-    // Same zero-instruction policy as the batch path: a representative
-    // with zero instructions would silently drop its cluster's whole
-    // instruction mass, so when the cluster has mass, the pick falls
-    // back to the best nonzero-instruction member.
+    // A representative with zero instructions gets multiplier 0, which
+    // silently drops its whole cluster's instruction mass from every
+    // reconstructed Estimate. When the cluster has mass, the pick falls
+    // back to the best nonzero-instruction member; clusters whose every
+    // member is empty keep the unrestricted pick and a zero multiplier
+    // — there is no mass to lose.
     std::vector<uint32_t> representative(k, 0);
     for (unsigned c = 0; c < k; ++c) {
         const ClusterSelectionState &state = clusters[c];
@@ -360,10 +277,15 @@ finalizeStreamingSelection(const std::vector<ClusterSelectionState> &clusters,
                   return representative[a] < representative[b];
               });
 
+    // Every cluster with at least one member gets a barrierpoint, even
+    // when its aggregate instruction count is zero: skipping it would
+    // leave its regions without a barrierpoint. Only clusters no region
+    // maps to (possible when k-means leaves a centroid unused) are
+    // skipped.
     cluster_to_point.assign(k, kNoClusterPoint);
     for (const unsigned c : cluster_order) {
         if (!clusters[c].hasMember)
-            continue;  // no region assigned: nothing to represent
+            continue;
         BarrierPoint point;
         point.region = representative[c];
         point.cluster = c;

@@ -83,7 +83,8 @@ struct BarrierPointAnalysis
 };
 
 /**
- * Pick representatives and compute multipliers.
+ * Pick representatives and compute multipliers: the batch driver of
+ * ClusterSelectionState over an in-memory point set.
  *
  * @param clustering           assignment of regions to clusters
  * @param points               projected signatures (for proximity)
@@ -101,12 +102,14 @@ BarrierPointAnalysis selectBarrierPoints(
 constexpr unsigned kNoClusterPoint = 0xFFFFFFFFu;
 
 /**
- * Per-cluster running state for streaming representative selection —
- * the bounded-memory replacement for scanning a full signature
- * matrix. The batch policy (nearest-to-centroid, near-ties resolved
- * to the median occurrence, zero-instruction representatives re-picked
- * among nonzero members) is preserved exactly, restructured as three
- * O(1)-memory passes over the point stream in region order:
+ * Per-cluster running state of the representative-selection policy —
+ * the one implementation of it, with two drivers: selectBarrierPoints()
+ * over an in-memory point set, and the streaming analyzer
+ * (core/streaming.h) over its spilled point stream. The policy:
+ * nearest-to-centroid, near-ties resolved to the median occurrence,
+ * zero-instruction representatives re-picked among nonzero members.
+ * It runs as three O(1)-memory passes over the regions in region
+ * order:
  *
  *   1. observeDistance()  -> final best distances + cluster mass
  *   2. observeTieCount()  -> how many members near-tie that best
@@ -118,7 +121,7 @@ constexpr unsigned kNoClusterPoint = 0xFFFFFFFFu;
  */
 struct ClusterSelectionState
 {
-    /** dist near-ties best under the shared selection tolerance. */
+    /** dist near-ties best under the selection tolerance. */
     static bool withinTie(double dist, double best);
 
     // Pass 1 results.
@@ -151,17 +154,17 @@ struct ClusterSelectionState
 };
 
 /**
- * Build the analysis from finished per-cluster selection states: the
- * streaming counterpart of selectBarrierPoints()'s emission half.
- * Multipliers, weight fractions, significance, and the
- * ordered-by-representative-region emission match the batch policy.
+ * Build the analysis from finished per-cluster selection states:
+ * representatives, multipliers, weight fractions and significance,
+ * emitted in representative-region order.
  *
- * regionToPoint is sized to the region count but left for the caller
- * to fill (it needs one more assignment pass over the point stream);
- * @p cluster_to_point receives the cluster -> points-index map for
- * that pass, kNoClusterPoint for clusters without members.
+ * regionToPoint is sized to the region count but left for the driver
+ * to fill (the streaming driver needs one more assignment pass over
+ * its point stream); @p cluster_to_point receives the cluster ->
+ * points-index map for that, kNoClusterPoint for clusters without
+ * members.
  */
-BarrierPointAnalysis finalizeStreamingSelection(
+BarrierPointAnalysis finalizeSelection(
     const std::vector<ClusterSelectionState> &clusters,
     std::vector<uint64_t> region_instructions,
     std::vector<double> bic_by_k, double significance,

@@ -18,6 +18,9 @@ namespace {
 /** Odd multiplier keeps region -> key injective before the mix. */
 constexpr uint64_t kReservoirStride = 0x9E3779B97F4A7C15ull;
 
+/** Mini-batch training passes over the point stream. */
+constexpr unsigned kEpochs = 2;
+
 std::string
 makeSpillPath(const std::string &dir)
 {
@@ -46,7 +49,6 @@ streamingHash(const StreamingConfig &config)
     s.u64(config.memoryBudgetBytes);
     s.u32(config.batchSize);
     s.u32(config.reservoirSize);
-    s.u32(config.epochs);
     return fnv1aHash(s.buffer().data(), s.buffer().size());
 }
 
@@ -251,11 +253,11 @@ StreamingAnalyzer::finish()
     }
     seeds.clear();
 
-    // Training: epochs x mini-batch sweeps. Batches are defined by
+    // Training: kEpochs mini-batch sweeps. Batches are defined by
     // region index; models update independently (parallel across k,
     // serial in point order within each), so output is bit-identical
     // for any thread count.
-    for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
+    for (unsigned epoch = 0; epoch < kEpochs; ++epoch) {
         forEachBatch([&](const double *pts, uint32_t first, size_t count) {
             parallelFor(&pool, 0, models.size(), [&](uint64_t m) {
                 models[m].update(pts, weights_.data() + first, count);
@@ -303,8 +305,7 @@ StreamingAnalyzer::finish()
         scores[chosen - 1].clusters;
 
     // Selection sweeps for the chosen model only: count the near-ties
-    // of each cluster's best distance, then pick the median tie —
-    // the batch policy, restructured as O(1)-memory passes.
+    // of each cluster's best distance, then pick the median tie.
     forEachBatch([&](const double *pts, uint32_t first, size_t count) {
         for (size_t i = 0; i < count; ++i) {
             double dist = 0.0;
@@ -323,7 +324,7 @@ StreamingAnalyzer::finish()
     });
 
     std::vector<unsigned> cluster_to_point;
-    BarrierPointAnalysis analysis = finalizeStreamingSelection(
+    BarrierPointAnalysis analysis = finalizeSelection(
         clusters, std::move(regionInstructions_), std::move(bic_by_k),
         options_.significance, cluster_to_point);
 

@@ -80,9 +80,6 @@ struct StreamingConfig
     /** Reservoir sample size for seeding; 0 derives from the budget. */
     unsigned reservoirSize = 0;
 
-    /** Mini-batch training passes over the point stream. */
-    unsigned epochs = 2;
-
     /**
      * Directory for the signature spill file; "" uses the system temp
      * directory. bp::Experiment defaults it to its artifactDir. The
@@ -93,11 +90,11 @@ struct StreamingConfig
 
 /**
  * Content hash of everything in @p config that changes the analysis
- * result: budget (it determines the derived sizes), explicit
- * batch/reservoir sizes, and epochs. spillDir is excluded (storage
- * location only), as is `enabled` — the hash is only consulted when
- * streaming is on, where bp::Experiment folds it into the analysis
- * artifact key so streaming and batch artifacts never collide.
+ * result: budget (it determines the derived sizes) and explicit
+ * batch/reservoir sizes. spillDir is excluded (storage location
+ * only), as is `enabled` — the hash is only consulted when streaming
+ * is on, where bp::Experiment folds it into the analysis artifact key
+ * so streaming and batch artifacts never collide.
  */
 uint64_t streamingHash(const StreamingConfig &config);
 
@@ -110,7 +107,7 @@ uint64_t streamingHash(const StreamingConfig &config);
  *   BarrierPointAnalysis analysis = analyzer.finish();
  *
  * finish() runs the clustering passes: per-k seeding on the
- * reservoir, `epochs` mini-batch training sweeps, one scoring sweep
+ * reservoir, two mini-batch training sweeps, one scoring sweep
  * (BIC stats + running selection state for every k), BIC model
  * selection, and the selection/assignment sweeps for the chosen k.
  */

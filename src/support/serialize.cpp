@@ -300,4 +300,18 @@ readArtifactFile(const std::string &path, uint32_t kind)
     return Deserializer(std::move(payload));
 }
 
+uint32_t
+readArtifactKind(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        throw SerializeError("cannot open artifact '" + path + "'");
+    uint8_t header[kHeaderBytes];
+    const size_t got = std::fread(header, 1, sizeof(header), f);
+    std::fclose(f);
+    if (got != sizeof(header))
+        throw SerializeError("'" + path + "' is too short to be an artifact");
+    return static_cast<uint32_t>(readLe(header + 12, 4));
+}
+
 } // namespace bp

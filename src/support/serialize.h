@@ -115,6 +115,14 @@ void writeArtifactFile(const std::string &path, uint32_t kind,
  */
 Deserializer readArtifactFile(const std::string &path, uint32_t kind);
 
+/**
+ * The kind field of @p path's artifact header, unvalidated: a dispatch
+ * hint for callers that accept any kind, whose loader then validates
+ * the whole file. Throws SerializeError when the file cannot be read
+ * or is shorter than a header.
+ */
+uint32_t readArtifactKind(const std::string &path);
+
 } // namespace bp
 
 #endif // BP_SUPPORT_SERIALIZE_H

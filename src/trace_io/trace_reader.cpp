@@ -172,32 +172,34 @@ TraceReader::scanRegion(uint64_t index,
     for (uint64_t r = 0; r < entry.count; ++r) {
         const TraceRecord record =
             decodeTraceRecord(bytes + r * kTraceRecordBytes);
-        const std::string where = "'" + path_ + "' trace region " +
-                                  std::to_string(index) + " record " +
-                                  std::to_string(r);
+        // Formatted only on the throw path: this loop runs per record.
+        const auto where = [&] {
+            return "'" + path_ + "' trace region " + std::to_string(index) +
+                " record " + std::to_string(r);
+        };
         if (record.flags != 0)
-            throw TraceError(where + " sets reserved flag bits");
+            throw TraceError(where() + " sets reserved flag bits");
         if (record.kind > kTraceKindBarrier)
-            throw TraceError(where + " has unknown kind " +
+            throw TraceError(where() + " has unknown kind " +
                              std::to_string(record.kind));
         if (record.tid >= header_.threadCount)
-            throw TraceError(where + " names thread " +
+            throw TraceError(where() + " names thread " +
                              std::to_string(record.tid) +
                              " but the trace has " +
                              std::to_string(header_.threadCount));
         if (barrier_seen[record.tid])
-            throw TraceError(where + " follows thread " +
+            throw TraceError(where() + " follows thread " +
                              std::to_string(record.tid) +
                              "'s barrier marker");
         if (record.kind == kTraceKindBarrier) {
             if (record.addr != 0 || record.bb != 0)
-                throw TraceError(where +
+                throw TraceError(where() +
                                  " is a barrier marker with nonzero "
                                  "payload fields");
             barrier_seen[record.tid] = true;
         } else {
             if (record.kind == kTraceKindAlu && record.addr != 0)
-                throw TraceError(where +
+                throw TraceError(where() +
                                  " is an Alu record with a nonzero "
                                  "address");
             if (ops_per_thread)

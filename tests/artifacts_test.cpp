@@ -315,5 +315,142 @@ TEST(ArtifactsTest, PersistedSnapshotsReproduceInternalCapture)
     }
 }
 
+/** Small hand-built artifacts of each kind, for pinning digests. */
+ProfileArtifact
+fixedProfileArtifact()
+{
+    ProfileArtifact artifact;
+    artifact.workload = smallSpec();
+    artifact.profiling = ProfilingConfig::sampled(0.5);
+    for (uint32_t r = 0; r < 2; ++r) {
+        RegionProfile profile;
+        profile.regionIndex = r;
+        profile.threads.resize(2);
+        for (unsigned t = 0; t < 2; ++t) {
+            ThreadProfile &thread = profile.threads[t];
+            thread.bbv = {{7, 100 + r}, {3 + t, 40}};
+            thread.ldv.add(uint64_t{1} << (r + 4 * t));
+            thread.ldv.add(5, 3);
+            thread.instructions = 1000 + 10 * r + t;
+            thread.memOps = 300 + r;
+            thread.coldAccesses = 20 + t;
+        }
+        artifact.profiles.push_back(profile);
+    }
+    return artifact;
+}
+
+AnalysisArtifact
+fixedAnalysisArtifact()
+{
+    AnalysisArtifact artifact;
+    artifact.workload = smallSpec();
+    artifact.optionsHash = 0x1234;
+    BarrierPoint first;
+    first.region = 0;
+    first.cluster = 1;
+    first.multiplier = 1.0;
+    first.weightFraction = 0.2;
+    first.instructions = 100;
+    BarrierPoint second;
+    second.region = 2;
+    second.cluster = 0;
+    second.multiplier = 2.0;
+    second.weightFraction = 0.8;
+    second.instructions = 200;
+    second.significant = false;
+    artifact.analysis.points = {first, second};
+    artifact.analysis.regionToPoint = {0, 1, 1};
+    artifact.analysis.regionInstructions = {100, 200, 200};
+    artifact.analysis.bicByK = {-1.5, 0.25};
+    artifact.analysis.chosenK = 2;
+    return artifact;
+}
+
+SnapshotArtifact
+fixedSnapshotArtifact()
+{
+    SnapshotArtifact artifact;
+    artifact.workload = smallSpec();
+    artifact.capacityLines = 64;
+    artifact.privateLines = 16;
+    artifact.regions = {0, 2};
+    artifact.snapshots = {
+        {{{0x40, true, false}, {0x41, false, true}}, {}},
+        {{}, {{0x80, false, false}}},
+    };
+    return artifact;
+}
+
+RunResultArtifact
+fixedRunResultArtifact()
+{
+    RunResultArtifact artifact;
+    artifact.workload = smallSpec();
+    artifact.machine = "2-core";
+    artifact.flavor = "reference";
+    artifact.optionsHash = 0x5678;
+    for (uint32_t r = 0; r < 2; ++r) {
+        RegionStats stats;
+        stats.regionIndex = r;
+        stats.instructions = 500 + r;
+        stats.cycles = 812.5 + r;
+        stats.startCycle = 813.5 * r;
+        stats.mispredicts = 7;
+        stats.mem.accesses = 120;
+        stats.mem.l1Hits = 100;
+        stats.mem.l2Hits = 10;
+        stats.mem.l3Hits = 5;
+        stats.mem.remoteHits = 1;
+        stats.mem.dramReads = 3;
+        stats.mem.dramWrites = 1;
+        stats.mem.invalidations = 2;
+        stats.mem.upgrades = 1;
+        stats.mem.llcMisses = 4;
+        artifact.result.regions.push_back(stats);
+    }
+    return artifact;
+}
+
+TEST(ArtifactsTest, PayloadDigestsArePinned)
+{
+    // What a digest covers is part of the trace-roundtrip contract
+    // (direct and replayed stage payloads must digest equal), so a
+    // change to it must be deliberate.
+    TempFile profile("digest_profile.bp");
+    TempFile analysis("digest_analysis.bp");
+    TempFile snapshots("digest_snapshots.bp");
+    TempFile result("digest_result.bp");
+    saveArtifact(profile.path(), fixedProfileArtifact());
+    saveArtifact(analysis.path(), fixedAnalysisArtifact());
+    saveArtifact(snapshots.path(), fixedSnapshotArtifact());
+    saveArtifact(result.path(), fixedRunResultArtifact());
+
+    EXPECT_EQ(artifactPayloadDigest(profile.path()), 0x81778be84d722206ull);
+    EXPECT_EQ(artifactPayloadDigest(analysis.path()), 0x3fc9041d4efd1ea2ull);
+    EXPECT_EQ(artifactPayloadDigest(snapshots.path()), 0xac50398f1e3dd0e7ull);
+    EXPECT_EQ(artifactPayloadDigest(result.path()), 0x605abcfa53cab81eull);
+
+    // Provenance is not payload: another spec digests the same.
+    ProfileArtifact moved = fixedProfileArtifact();
+    moved.workload.seed += 1;
+    saveArtifact(profile.path(), moved);
+    EXPECT_EQ(artifactPayloadDigest(profile.path()), 0x81778be84d722206ull);
+}
+
+TEST(ArtifactsTest, PayloadDigestValidatesTheArtifact)
+{
+    // A flipped payload byte fails the checksum before anything is
+    // digested (cli_test covers foreign files).
+    TempFile file("digest_corrupt.bp");
+    saveArtifact(file.path(), fixedAnalysisArtifact());
+    std::FILE *f = std::fopen(file.path().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, -1, SEEK_END);
+    std::fputc(0x5a, f);
+    std::fclose(f);
+    EXPECT_THROW(artifactPayloadDigest(file.path()), SerializeError);
+}
+
 } // namespace
 } // namespace bp

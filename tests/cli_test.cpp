@@ -344,6 +344,16 @@ TEST(CliTest, RuntimeFailuresExitOne)
     const RunResult report = runCli(
         "report --analysis /nonexistent/x.analysis.bp --result y.bp");
     EXPECT_EQ(report.exitCode, 1);
+
+    // digest loads, and so validates, what it digests: a missing or
+    // foreign file (here the bp executable) fails the same way.
+    EXPECT_EQ(runCli("digest --artifact /nonexistent/x.bp").exitCode, 1);
+    const RunResult foreign =
+        runCli(std::string("digest --artifact ") + BP_CLI_PATH);
+    EXPECT_EQ(foreign.exitCode, 1);
+    EXPECT_NE(foreign.output.find("not a BarrierPoint artifact"),
+              std::string::npos)
+        << foreign.output;
 }
 
 } // namespace

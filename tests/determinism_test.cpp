@@ -76,14 +76,10 @@ expectIdenticalStats(const std::vector<RegionStats> &a,
 TEST(DeterminismTest, AnalyzeWorkloadIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
-    BarrierPointOptions serial;
-    serial.threads = 1;
-    const auto reference = analyzeWorkload(*wl, serial);
+    const auto reference = analyzeWorkload(*wl, {}, 1);
 
     for (const unsigned threads : {2u, 8u}) {
-        BarrierPointOptions parallel;
-        parallel.threads = threads;
-        const auto candidate = analyzeWorkload(*wl, parallel);
+        const auto candidate = analyzeWorkload(*wl, {}, threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalAnalyses(reference, candidate);
     }
@@ -112,10 +108,10 @@ TEST(DeterminismTest, SimulateBarrierPointsIdenticalAcrossThreadCounts)
 TEST(DeterminismTest, ProfilesIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
-    const auto serial = profileWorkload(*wl, 1);
+    const auto serial = profileWorkload(*wl, {}, 1);
     for (const unsigned threads : {2u, 8u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        const auto parallel = profileWorkload(*wl, threads);
+        const auto parallel = profileWorkload(*wl, {}, threads);
         ASSERT_EQ(serial.size(), parallel.size());
         for (size_t r = 0; r < serial.size(); ++r) {
             EXPECT_EQ(serial[r].regionIndex, parallel[r].regionIndex);
@@ -144,12 +140,8 @@ TEST(DeterminismTest, RealWorkloadAnalysisIdenticalSerialVsParallel)
     params.scale = 0.1;
     const auto wl = makeWorkload("npb-cg", params);
 
-    BarrierPointOptions serial;
-    serial.threads = 1;
-    BarrierPointOptions parallel;
-    parallel.threads = 8;
-    expectIdenticalAnalyses(analyzeWorkload(*wl, serial),
-                            analyzeWorkload(*wl, parallel));
+    expectIdenticalAnalyses(analyzeWorkload(*wl, {}, 1),
+                            analyzeWorkload(*wl, {}, 8));
 }
 
 } // namespace

@@ -486,19 +486,61 @@ TEST(ExperimentDeathTest, UndersizedMachineIsFatal)
         ::testing::ExitedWithCode(1), "pick a machine");
 }
 
-TEST(ExperimentTest, OptionsHashIgnoresThreadsOnly)
+TEST(ExperimentTest, OptionsHashCoversEveryOption)
 {
-    BarrierPointOptions base;
-    BarrierPointOptions threaded = base;
-    threaded.threads = 16;
-    EXPECT_EQ(optionsHash(base), optionsHash(threaded));
+    // Every field of BarrierPointOptions changes the analysis, so each
+    // must change the artifact key; an unhashed one would let a stale
+    // artifact be reused. The structured bindings compile only at the
+    // exact member counts, so a field added to any of these structs
+    // fails here until it is listed below.
+    const BarrierPointOptions base;
+    [[maybe_unused]] const auto &[sig, clu, prof, significance] = base;
+    [[maybe_unused]] const auto &[kind, ldv, concat] = base.signature;
+    [[maybe_unused]] const auto &[dim, max_k, restarts, iterations, bic,
+                                  seed] = base.clustering;
+    [[maybe_unused]] const auto &[mode, rate, s_max] = base.profiling;
 
-    BarrierPointOptions different = base;
-    different.clustering.maxK += 1;
-    EXPECT_NE(optionsHash(base), optionsHash(different));
-    BarrierPointOptions signature = base;
-    signature.signature.kind = SignatureKind::Bbv;
-    EXPECT_NE(optionsHash(base), optionsHash(signature));
+    using Edit = void (*)(BarrierPointOptions &);
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"signature.kind",
+         [](BarrierPointOptions &o) {
+             o.signature.kind = SignatureKind::Bbv;
+         }},
+        {"signature.ldvWeightInvV",
+         [](BarrierPointOptions &o) { o.signature.ldvWeightInvV = 0.5; }},
+        {"signature.concatenateThreads",
+         [](BarrierPointOptions &o) {
+             o.signature.concatenateThreads = false;
+         }},
+        {"clustering.dim",
+         [](BarrierPointOptions &o) { o.clustering.dim += 1; }},
+        {"clustering.maxK",
+         [](BarrierPointOptions &o) { o.clustering.maxK += 1; }},
+        {"clustering.restarts",
+         [](BarrierPointOptions &o) { o.clustering.restarts += 1; }},
+        {"clustering.maxIterations",
+         [](BarrierPointOptions &o) { o.clustering.maxIterations += 1; }},
+        {"clustering.bicThreshold",
+         [](BarrierPointOptions &o) { o.clustering.bicThreshold = 0.8; }},
+        {"clustering.seed",
+         [](BarrierPointOptions &o) { o.clustering.seed += 1; }},
+        {"profiling.mode",
+         [](BarrierPointOptions &o) {
+             o.profiling.mode = ProfilingMode::Sampled;
+         }},
+        {"profiling.rate",
+         [](BarrierPointOptions &o) { o.profiling.rate = 0.5; }},
+        {"profiling.sMax",
+         [](BarrierPointOptions &o) { o.profiling.sMax = 100; }},
+        {"significance",
+         [](BarrierPointOptions &o) { o.significance = 0.01; }},
+    };
+    ASSERT_EQ(edits.size(), 13u);
+    for (const auto &[name, edit] : edits) {
+        BarrierPointOptions changed = base;
+        edit(changed);
+        EXPECT_NE(optionsHash(changed), optionsHash(base)) << name;
+    }
 }
 
 } // namespace

@@ -380,6 +380,7 @@ TEST(TraceIoTest, RecordLevelViolationsAreRejected)
     bad = good;
     leStore64(record(bad, 3), 0xbeef);  // barrier with payload
     expectRejected(bad, "barrier marker with nonzero payload");
+    expectRejected(bad, "trace region 0 record 3 is a barrier marker");
 
     bad = good;
     leStore16(record(bad, 4) + 12, 0);  // t1's barrier reassigned to t0
@@ -469,10 +470,10 @@ TEST(TraceIoReplayTest, ReplayProfilesBitIdenticalAtAnyWorkerCount)
     ASSERT_EQ(replay->threadCount(), direct->threadCount());
 
     const std::vector<uint8_t> expected =
-        serializedProfiles(profileWorkload(*direct, ExecutionContext(1)));
+        serializedProfiles(profileWorkload(*direct, {}, ExecutionContext(1)));
     for (const unsigned jobs : {1u, 2u, 8u}) {
         const std::vector<uint8_t> got = serializedProfiles(
-            profileWorkload(*replay, ExecutionContext(jobs)));
+            profileWorkload(*replay, {}, ExecutionContext(jobs)));
         EXPECT_EQ(got, expected) << "jobs=" << jobs;
     }
 }

@@ -798,85 +798,13 @@ cmdIngest(const Args &args)
     return 0;
 }
 
-/** The artifact header's kind field (validated by the real loader). */
-uint32_t
-peekArtifactKind(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        throw SerializeError("cannot open artifact '" + path + "'");
-    uint8_t header[16];
-    const size_t got = std::fread(header, 1, sizeof(header), file);
-    std::fclose(file);
-    if (got != sizeof(header))
-        throw SerializeError("'" + path +
-                             "' is too short to be an artifact");
-    uint32_t kind = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        kind |= static_cast<uint32_t>(header[12 + b]) << (8 * b);
-    return kind;
-}
-
 int
 cmdDigest(const Args &args)
 {
     const std::string path = args.required("--artifact");
     args.finish();
-
-    // Digest the stage payload only. The embedded WorkloadSpec (and a
-    // result's options hash) says how the data was produced, not what
-    // it is — and the digest exists to compare runs that produced the
-    // same data different ways, e.g. a trace replay against the
-    // synthetic workload it recorded.
-    Serializer s;
-    switch (static_cast<ArtifactKind>(peekArtifactKind(path))) {
-      case ArtifactKind::Profile: {
-        const ProfileArtifact artifact = loadProfileArtifact(path);
-        s.size(artifact.profiles.size());
-        for (const RegionProfile &profile : artifact.profiles)
-            profile.serialize(s);
-        break;
-      }
-      case ArtifactKind::Analysis: {
-        const AnalysisArtifact artifact = loadAnalysisArtifact(path);
-        artifact.analysis.serialize(s);
-        break;
-      }
-      case ArtifactKind::Snapshots: {
-        const SnapshotArtifact artifact = loadSnapshotArtifact(path);
-        s.u64(artifact.capacityLines);
-        s.u64(artifact.privateLines);
-        s.size(artifact.regions.size());
-        for (const uint32_t region : artifact.regions)
-            s.u32(region);
-        s.size(artifact.snapshots.size());
-        for (const auto &per_core : artifact.snapshots) {
-            s.size(per_core.size());
-            for (const auto &entries : per_core) {
-                s.size(entries.size());
-                for (const MruEntry &entry : entries) {
-                    s.u64(entry.line);
-                    s.boolean(entry.written);
-                    s.boolean(entry.llcDirty);
-                }
-            }
-        }
-        break;
-      }
-      case ArtifactKind::RunResult: {
-        const RunResultArtifact artifact = loadRunResultArtifact(path);
-        artifact.result.serialize(s);
-        break;
-      }
-      default:
-        // Not a plausible artifact; let the strict loader produce the
-        // precise magic/version/size diagnostic.
-        loadProfileArtifact(path);
-        break;
-    }
     std::printf("%016llx  %s\n",
-                static_cast<unsigned long long>(
-                    fnv1aHash(s.buffer().data(), s.buffer().size())),
+                static_cast<unsigned long long>(artifactPayloadDigest(path)),
                 path.c_str());
     return 0;
 }
