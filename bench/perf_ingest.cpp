@@ -53,10 +53,10 @@ foldRegion(const RegionTrace &region, uint64_t fnv)
     uint8_t bytes[13];
     for (unsigned t = 0; t < region.threadCount(); ++t) {
         for (const MicroOp &op : region.thread(t)) {
-            leStore64(bytes, op.addr);
-            leStore32(bytes + 8, op.bb);
+            storeLe(bytes, op.addr, 8);
+            storeLe(bytes + 8, op.bb, 4);
             bytes[12] = static_cast<uint8_t>(op.kind);
-            fnv = traceFnvUpdate(fnv, bytes, sizeof(bytes));
+            fnv = fnv1aHash(bytes, sizeof(bytes), fnv);
         }
     }
     return fnv;
@@ -65,7 +65,7 @@ foldRegion(const RegionTrace &region, uint64_t fnv)
 struct PassResult
 {
     double seconds = 0.0;
-    uint64_t checksum = kTraceFnvBasis;
+    uint64_t checksum = kFnv1aBasis;
 };
 
 } // namespace
@@ -147,7 +147,7 @@ main(int argc, char **argv)
     PassResult generate, replay, verify;
     for (unsigned pass = 0; pass < passes; ++pass) {
         double start = now();
-        uint64_t fnv = kTraceFnvBasis;
+        uint64_t fnv = kFnv1aBasis;
         for (unsigned i = 0; i < regions; ++i)
             fnv = foldRegion(workload->generateRegion(i), fnv);
         double elapsed = now() - start;
@@ -156,7 +156,7 @@ main(int argc, char **argv)
         generate.checksum = fnv;
 
         start = now();
-        fnv = kTraceFnvBasis;
+        fnv = kFnv1aBasis;
         for (unsigned i = 0; i < regions; ++i)
             fnv = foldRegion(reader.readRegion(i), fnv);
         elapsed = now() - start;

@@ -1,6 +1,7 @@
 #include "src/core/artifacts.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
@@ -327,58 +328,6 @@ constexpr uint32_t kSpillVersion = 1;
 constexpr long kSpillHeaderBytes = 24;
 constexpr long kSpillCountOffset = 16;
 
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-constexpr bool kBigEndianHost = true;
-#else
-constexpr bool kBigEndianHost = false;
-#endif
-
-/** In-place LE <-> host fixup; a no-op on little-endian hosts. */
-void
-fixupDoublesLe(double *data, size_t n)
-{
-    if (!kBigEndianHost)
-        return;
-    auto *bytes = reinterpret_cast<uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        uint8_t *v = bytes + i * 8;
-        for (size_t b = 0; b < 4; ++b)
-            std::swap(v[b], v[7 - b]);
-    }
-}
-
-void
-putU32Le(uint8_t *out, uint32_t v)
-{
-    for (unsigned b = 0; b < 4; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-void
-putU64Le(uint8_t *out, uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-uint32_t
-getU32Le(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        v |= static_cast<uint32_t>(in[b]) << (8 * b);
-    return v;
-}
-
-uint64_t
-getU64Le(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<uint64_t>(in[b]) << (8 * b);
-    return v;
-}
-
 } // namespace
 
 SignatureSpillWriter::SignatureSpillWriter(const std::string &path,
@@ -387,15 +336,16 @@ SignatureSpillWriter::SignatureSpillWriter(const std::string &path,
 {
     if (dim_ == 0)
         throw SerializeError("signature spill requires dim > 0");
+    encoded_.resize(size_t{dim_} * sizeof(double));
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
         throw SerializeError("cannot create signature spill file '" +
                              path + "'");
     uint8_t header[kSpillHeaderBytes] = {};
-    putU32Le(header, kSpillMagic);
-    putU32Le(header + 4, kSpillVersion);
-    putU32Le(header + 8, dim_);
-    putU64Le(header + kSpillCountOffset, 0);  // patched on close()
+    storeLe(header, kSpillMagic, 4);
+    storeLe(header + 4, kSpillVersion, 4);
+    storeLe(header + 8, dim_, 4);
+    storeLe(header + kSpillCountOffset, 0, 8);  // patched on close()
     if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
         std::fclose(file_);
         file_ = nullptr;
@@ -419,18 +369,13 @@ void
 SignatureSpillWriter::append(const double *point)
 {
     BP_ASSERT(file_, "append() on a closed signature spill");
-    if (kBigEndianHost) {
-        double swapped[64];
-        BP_ASSERT(dim_ <= 64, "spill dim exceeds the encode buffer");
-        std::copy(point, point + dim_, swapped);
-        fixupDoublesLe(swapped, dim_);
-        if (std::fwrite(swapped, sizeof(double), dim_, file_) != dim_)
-            throw SerializeError("short write to signature spill '" +
-                                 path_ + "'");
-    } else if (std::fwrite(point, sizeof(double), dim_, file_) != dim_) {
+    for (unsigned d = 0; d < dim_; ++d)
+        storeLe(encoded_.data() + d * sizeof(double),
+                std::bit_cast<uint64_t>(point[d]), 8);
+    if (std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
+        encoded_.size())
         throw SerializeError("short write to signature spill '" + path_ +
                              "'");
-    }
     ++count_;
 }
 
@@ -442,7 +387,7 @@ SignatureSpillWriter::close()
     std::FILE *file = file_;
     file_ = nullptr;
     uint8_t le[8];
-    putU64Le(le, count_);
+    storeLe(le, count_, 8);
     const bool ok = std::fseek(file, kSpillCountOffset, SEEK_SET) == 0 &&
                     std::fwrite(le, 1, sizeof(le), file) == sizeof(le) &&
                     std::fflush(file) == 0;
@@ -464,22 +409,26 @@ SignatureSpillReader::SignatureSpillReader(const std::string &path)
         throw SerializeError("signature spill '" + path +
                              "' is too short for its header");
     }
-    const uint32_t magic = getU32Le(header);
-    const uint32_t version = getU32Le(header + 4);
-    dim_ = getU32Le(header + 8);
-    count_ = getU64Le(header + kSpillCountOffset);
+    const uint64_t magic = loadLe(header, 4);
+    const uint64_t version = loadLe(header + 4, 4);
+    dim_ = static_cast<unsigned>(loadLe(header + 8, 4));
+    count_ = loadLe(header + kSpillCountOffset, 8);
     bool bad = magic != kSpillMagic || version != kSpillVersion ||
                dim_ == 0;
     if (!bad) {
         // The advertised count must match the bytes actually present:
         // a crashed writer (count still 0) or a truncated copy is
-        // detected here instead of surfacing as garbage points.
+        // detected here instead of surfacing as garbage points. Divide
+        // rather than multiply, so that no count can wrap around to
+        // the size on disk.
         bad = std::fseek(file_, 0, SEEK_END) != 0;
         if (!bad) {
             const long size = std::ftell(file_);
-            const long expect = kSpillHeaderBytes +
-                static_cast<long>(count_ * dim_ * sizeof(double));
-            bad = size != expect;
+            const uint64_t point_bytes = uint64_t{dim_} * sizeof(double);
+            const uint64_t payload =
+                static_cast<uint64_t>(size - kSpillHeaderBytes);
+            bad = size < kSpillHeaderBytes || payload % point_bytes != 0 ||
+                  payload / point_bytes != count_;
         }
     }
     if (bad) {
@@ -508,7 +457,10 @@ SignatureSpillReader::read(double *out, size_t max_points)
     const size_t doubles = want * dim_;
     if (std::fread(out, sizeof(double), doubles, file_) != doubles)
         throw SerializeError("short read from signature spill");
-    fixupDoublesLe(out, doubles);
+    // Decode the little-endian images in place.
+    const auto *bytes = reinterpret_cast<const uint8_t *>(out);
+    for (size_t i = 0; i < doubles; ++i)
+        out[i] = std::bit_cast<double>(loadLe(bytes + i * sizeof(double), 8));
     position_ += want;
     return want;
 }

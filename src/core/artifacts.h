@@ -185,9 +185,11 @@ uint64_t artifactPayloadDigest(const std::string &path);
  * minimal layout instead of the buffer-then-checksum framing: a
  * fixed header (magic, version, dim, point count — the count patched
  * in on close) followed by count x dim doubles as little-endian
- * IEEE-754 images. Points round-trip bit-exactly; the point's file
- * position is its region index (regions arrive in index order).
- * Truncation and header corruption surface as SerializeError.
+ * IEEE-754 images, encoded and decoded by support/serialize.h's
+ * storeLe()/loadLe() like every other file. Points round-trip
+ * bit-exactly on any host; the point's file position is its region
+ * index (regions arrive in index order). Truncation and header
+ * corruption surface as SerializeError.
  */
 class SignatureSpillWriter
 {
@@ -214,6 +216,7 @@ class SignatureSpillWriter
     std::string path_;
     unsigned dim_ = 0;
     uint64_t count_ = 0;
+    std::vector<uint8_t> encoded_;  ///< one point's little-endian bytes
 };
 
 /** Bounds-checked reader over a finished signature spill file. */

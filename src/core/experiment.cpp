@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "src/support/logging.h"
 #include "src/support/rng.h"
@@ -70,37 +71,57 @@ saveLending(const std::string &path, Artifact &artifact, T &member,
     member = std::move(artifact.*field);
 }
 
+/**
+ * The artifact-cache probe every stage shares: load @p path with
+ * @p loader and return the artifact when @p mismatch finds it current
+ * (returns ""). A missing file is a quiet miss; an unreadable one, or
+ * one @p mismatch rejects with a reason, warns and misses, so the
+ * caller recomputes and republishes the @p stage.
+ */
+template <typename Artifact, typename Mismatch>
+std::optional<Artifact>
+loadCurrent(const std::string &path, Artifact (*loader)(const std::string &),
+            const char *stage, Mismatch mismatch)
+{
+    if (path.empty() || !fileExists(path))
+        return std::nullopt;
+    try {
+        Artifact artifact = loader(path);
+        const std::string reason = mismatch(artifact);
+        if (reason.empty())
+            return artifact;
+        warn("%s artifact %s %s", stage, path.c_str(), reason.c_str());
+    } catch (const SerializeError &error) {
+        warn("%s artifact %s is unreadable (%s); recomputing", stage,
+             path.c_str(), error.what());
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 Experiment::Experiment(WorkloadSpec spec, Config config,
                        ExecutionContext exec)
-    : owned_(spec.instantiate()), workload_(owned_.get()),
-      // Re-describe rather than keep the caller's spec: describe() is
-      // canonical (trace workloads pin scale/seed and take threads
-      // from the file; contentHash is filled in), so artifact names
-      // and embedded specs never depend on how the caller spelled the
-      // parameters.
-      spec_(WorkloadSpec::describe(*workload_)), config_(std::move(config)),
-      exec_(std::move(exec)), optionsHash_(analysisKeyHash(config_)),
-      profilingHash_(bp::profilingHash(config_.options.profiling)),
-      stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
+    : Experiment(spec.instantiate(), std::move(config), std::move(exec))
 {}
 
 Experiment::Experiment(std::unique_ptr<Workload> workload, Config config,
                        ExecutionContext exec)
-    : owned_(std::move(workload)), workload_(owned_.get()),
-      spec_(WorkloadSpec::describe(*workload_)),
-      config_(std::move(config)), exec_(std::move(exec)),
-      optionsHash_(analysisKeyHash(config_)),
-      profilingHash_(bp::profilingHash(config_.options.profiling)),
-      stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
-{}
+    : Experiment(*workload, std::move(config), std::move(exec))
+{
+    owned_ = std::move(workload);
+}
 
 Experiment::Experiment(const Workload &workload, Config config,
                        ExecutionContext exec)
-    : workload_(&workload), spec_(WorkloadSpec::describe(workload)),
-      config_(std::move(config)), exec_(std::move(exec)),
-      optionsHash_(analysisKeyHash(config_)),
+    : workload_(&workload),
+      // Describe the instance rather than keep a caller's spec:
+      // describe() is canonical (trace workloads pin scale/seed and
+      // take threads from the file; contentHash is filled in), so
+      // artifact names and embedded specs never depend on how the
+      // caller spelled the parameters.
+      spec_(WorkloadSpec::describe(workload)), config_(std::move(config)),
+      exec_(std::move(exec)), optionsHash_(analysisKeyHash(config_)),
       profilingHash_(bp::profilingHash(config_.options.profiling)),
       stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
 {}
@@ -193,37 +214,29 @@ Experiment::ensureArtifactDir()
 bool
 Experiment::tryLoadProfiles(const std::string &path)
 {
-    if (!fileExists(path))
+    std::optional<ProfileArtifact> artifact = loadCurrent(
+        path, loadProfileArtifact, "profile",
+        [&](const ProfileArtifact &a) -> std::string {
+            if (a.workload != spec_)
+                return "was produced for a different workload spec; "
+                       "recomputing";
+            if (a.profiling != config_.options.profiling)
+                return "was collected under profiling mode " +
+                       a.profiling.describe() +
+                       " but this experiment wants " +
+                       config_.options.profiling.describe() +
+                       "; recomputing";
+            if (a.profiles.size() != workload_->regionCount())
+                return "holds " + std::to_string(a.profiles.size()) +
+                       " regions but the workload has " +
+                       std::to_string(workload_->regionCount()) +
+                       "; recomputing";
+            return "";
+        });
+    if (!artifact)
         return false;
-    try {
-        ProfileArtifact artifact = loadProfileArtifact(path);
-        if (artifact.workload != spec_) {
-            warn("profile artifact %s was produced for a different "
-                 "workload spec; recomputing",
-                 path.c_str());
-            return false;
-        }
-        if (artifact.profiling != config_.options.profiling) {
-            warn("profile artifact %s was collected under profiling "
-                 "mode %s but this experiment wants %s; recomputing",
-                 path.c_str(), artifact.profiling.describe().c_str(),
-                 config_.options.profiling.describe().c_str());
-            return false;
-        }
-        if (artifact.profiles.size() != workload_->regionCount()) {
-            warn("profile artifact %s holds %zu regions but the workload "
-                 "has %u; recomputing",
-                 path.c_str(), artifact.profiles.size(),
-                 workload_->regionCount());
-            return false;
-        }
-        profiles_ = std::move(artifact.profiles);
-        return true;
-    } catch (const SerializeError &error) {
-        warn("profile artifact %s is unreadable (%s); recomputing",
-             path.c_str(), error.what());
-        return false;
-    }
+    profiles_ = std::move(artifact->profiles);
+    return true;
 }
 
 const std::vector<RegionProfile> &
@@ -232,18 +245,14 @@ Experiment::profiles()
     if (profiles_)
         return *profiles_;
     const std::string path = profilePath();
-    if (!path.empty() && tryLoadProfiles(path))
+    if (tryLoadProfiles(path))
         return *profiles_;
 
     profiles_ =
         profileWorkload(*workload_, config_.options.profiling, exec_);
     if (!path.empty()) {
         ensureArtifactDir();
-        ProfileArtifact artifact;
-        artifact.workload = spec_;
-        artifact.profiling = config_.options.profiling;
-        saveLending(path, artifact, *profiles_,
-                    &ProfileArtifact::profiles);
+        exportProfiles(path);
     }
     return *profiles_;
 }
@@ -269,29 +278,21 @@ Experiment::seedProfiles(std::vector<RegionProfile> profiles)
 bool
 Experiment::tryLoadAnalysis(const std::string &path)
 {
-    if (!fileExists(path))
+    std::optional<AnalysisArtifact> artifact = loadCurrent(
+        path, loadAnalysisArtifact, "analysis",
+        [&](const AnalysisArtifact &a) -> std::string {
+            if (a.workload != spec_)
+                return "was produced for a different workload spec; "
+                       "recomputing";
+            if (a.optionsHash != optionsHash_)
+                return "was produced with different analysis options; "
+                       "recomputing";
+            return "";
+        });
+    if (!artifact)
         return false;
-    try {
-        AnalysisArtifact artifact = loadAnalysisArtifact(path);
-        if (artifact.workload != spec_) {
-            warn("analysis artifact %s was produced for a different "
-                 "workload spec; recomputing",
-                 path.c_str());
-            return false;
-        }
-        if (artifact.optionsHash != optionsHash_) {
-            warn("analysis artifact %s was produced with different "
-                 "analysis options; recomputing",
-                 path.c_str());
-            return false;
-        }
-        analysis_ = std::move(artifact.analysis);
-        return true;
-    } catch (const SerializeError &error) {
-        warn("analysis artifact %s is unreadable (%s); recomputing",
-             path.c_str(), error.what());
-        return false;
-    }
+    analysis_ = std::move(artifact->analysis);
+    return true;
 }
 
 StreamingConfig
@@ -311,7 +312,7 @@ Experiment::analysis()
     if (analysis_)
         return *analysis_;
     const std::string path = analysisPath();
-    if (!seeded_ && !path.empty() && tryLoadAnalysis(path))
+    if (!seeded_ && tryLoadAnalysis(path))
         return *analysis_;
 
     if (config_.streaming.enabled) {
@@ -331,11 +332,7 @@ Experiment::analysis()
     }
     if (!seeded_ && !path.empty()) {
         ensureArtifactDir();
-        AnalysisArtifact artifact;
-        artifact.workload = spec_;
-        artifact.optionsHash = optionsHash_;
-        saveLending(path, artifact, *analysis_,
-                    &AnalysisArtifact::analysis);
+        exportAnalysis(path);
     }
     return *analysis_;
 }
@@ -361,28 +358,21 @@ bool
 Experiment::tryLoadSnapshots(const std::string &path,
                              const SnapshotKey &key)
 {
-    if (!fileExists(path))
+    std::optional<SnapshotArtifact> artifact = loadCurrent(
+        path, loadSnapshotArtifact, "snapshot",
+        [&](const SnapshotArtifact &a) -> std::string {
+            const std::vector<uint32_t> regions = analysis().pointRegions();
+            if (a.workload != spec_ || a.capacityLines != key.first ||
+                a.privateLines != key.second || a.regions != regions ||
+                a.snapshots.size() != regions.size())
+                return "was captured for a different analysis or "
+                       "machine; recapturing";
+            return "";
+        });
+    if (!artifact)
         return false;
-    const std::vector<uint32_t> regions = analysis().pointRegions();
-    try {
-        SnapshotArtifact artifact = loadSnapshotArtifact(path);
-        if (artifact.workload != spec_ ||
-            artifact.capacityLines != key.first ||
-            artifact.privateLines != key.second ||
-            artifact.regions != regions ||
-            artifact.snapshots.size() != regions.size()) {
-            warn("snapshot artifact %s was captured for a different "
-                 "analysis or machine; recapturing",
-                 path.c_str());
-            return false;
-        }
-        snapshots_[key] = std::move(artifact.snapshots);
-        return true;
-    } catch (const SerializeError &error) {
-        warn("snapshot artifact %s is unreadable (%s); recapturing",
-             path.c_str(), error.what());
-        return false;
-    }
+    snapshots_[key] = std::move(artifact->snapshots);
+    return true;
 }
 
 const MruSnapshotSet &
@@ -393,23 +383,16 @@ Experiment::snapshots(const MachineConfig &machine)
     if (it != snapshots_.end())
         return it->second;
     const std::string path = snapshotPath(key);
-    if (!seeded_ && !path.empty() && tryLoadSnapshots(path, key))
+    if (!seeded_ && tryLoadSnapshots(path, key))
         return snapshots_.at(key);
 
-    const BarrierPointAnalysis &a = analysis();
-    MruSnapshotSet snapshots =
-        captureAnalysisSnapshots(*workload_, machine, a);
+    MruSnapshotSet &snapshots = snapshots_[key] =
+        captureAnalysisSnapshots(*workload_, machine, analysis());
     if (!seeded_ && !path.empty()) {
         ensureArtifactDir();
-        SnapshotArtifact artifact;
-        artifact.workload = spec_;
-        artifact.capacityLines = key.first;
-        artifact.privateLines = key.second;
-        artifact.regions = a.pointRegions();
-        saveLending(path, artifact, snapshots,
-                    &SnapshotArtifact::snapshots);
+        exportSnapshots(machine, path);
     }
-    return snapshots_[key] = std::move(snapshots);
+    return snapshots;
 }
 
 bool
@@ -510,34 +493,27 @@ bool
 Experiment::tryLoadResult(const std::string &path, const ResultKey &key,
                           const MachineConfig &machine, WarmupPolicy policy)
 {
-    if (!fileExists(path))
-        return false;
     const std::string flavor =
         std::string("barrierpoints-") + warmupPolicyName(policy);
-    try {
-        RunResultArtifact artifact = loadRunResultArtifact(path);
-        if (artifact.workload != spec_ ||
-            artifact.optionsHash != optionsHash_ ||
-            artifact.machine != machine.name ||
-            artifact.flavor != flavor ||
-            artifact.result.regions.size() != analysis().points.size()) {
-            warn("result artifact %s was produced by a different "
-                 "experiment; re-simulating",
-                 path.c_str());
-            return false;
-        }
-        SimulationResult result;
-        result.machine = machine.name;
-        result.policy = policy;
-        result.stats = std::move(artifact.result.regions);
-        result.estimate = reconstruct(analysis(), result.stats);
-        results_[key] = std::move(result);
-        return true;
-    } catch (const SerializeError &error) {
-        warn("result artifact %s is unreadable (%s); re-simulating",
-             path.c_str(), error.what());
+    std::optional<RunResultArtifact> artifact = loadCurrent(
+        path, loadRunResultArtifact, "result",
+        [&](const RunResultArtifact &a) -> std::string {
+            if (a.workload != spec_ || a.optionsHash != optionsHash_ ||
+                a.machine != machine.name || a.flavor != flavor ||
+                a.result.regions.size() != analysis().points.size())
+                return "was produced by a different experiment; "
+                       "re-simulating";
+            return "";
+        });
+    if (!artifact)
         return false;
-    }
+    SimulationResult result;
+    result.machine = machine.name;
+    result.policy = policy;
+    result.stats = std::move(artifact->result.regions);
+    result.estimate = reconstruct(analysis(), result.stats);
+    results_[key] = std::move(result);
+    return true;
 }
 
 const SimulationResult &
@@ -548,9 +524,8 @@ Experiment::simulate(const MachineConfig &machine, WarmupPolicy policy)
     auto it = results_.find(key);
     if (it != results_.end())
         return it->second;
-    const std::string path = resultPath(machine, policy);
-    if (!seeded_ && !path.empty() &&
-        tryLoadResult(path, key, machine, policy))
+    if (!seeded_ && tryLoadResult(resultPath(machine, policy), key,
+                                  machine, policy))
         return results_.at(key);
 
     const BarrierPointAnalysis &a = analysis();
@@ -593,9 +568,8 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
             queued = queued || p.key == key;
         if (queued)
             continue;
-        const std::string path = resultPath(machine, policy);
-        if (!seeded_ && !path.empty() &&
-            tryLoadResult(path, key, machine, policy))
+        if (!seeded_ && tryLoadResult(resultPath(machine, policy), key,
+                                      machine, policy))
             continue;
         pending.push_back({&machine, key, nullptr});
     }
@@ -650,26 +624,20 @@ Experiment::tryLoadReference(const std::string &path,
                              const std::string &machine_key,
                              const MachineConfig &machine)
 {
-    if (!fileExists(path))
+    std::optional<RunResultArtifact> artifact = loadCurrent(
+        path, loadRunResultArtifact, "reference",
+        [&](const RunResultArtifact &a) -> std::string {
+            if (a.workload != spec_ || a.machine != machine.name ||
+                a.flavor != "reference" ||
+                a.result.regions.size() != workload_->regionCount())
+                return "was produced by a different experiment; "
+                       "re-simulating";
+            return "";
+        });
+    if (!artifact)
         return false;
-    try {
-        RunResultArtifact artifact = loadRunResultArtifact(path);
-        if (artifact.workload != spec_ ||
-            artifact.machine != machine.name ||
-            artifact.flavor != "reference" ||
-            artifact.result.regions.size() != workload_->regionCount()) {
-            warn("reference artifact %s was produced by a different "
-                 "experiment; re-simulating",
-                 path.c_str());
-            return false;
-        }
-        references_[machine_key] = std::move(artifact.result);
-        return true;
-    } catch (const SerializeError &error) {
-        warn("reference artifact %s is unreadable (%s); re-simulating",
-             path.c_str(), error.what());
-        return false;
-    }
+    references_[machine_key] = std::move(artifact->result);
+    return true;
 }
 
 const RunResult &
@@ -681,7 +649,7 @@ Experiment::reference(const MachineConfig &machine)
     if (it != references_.end())
         return it->second;
     const std::string path = referencePath(machine);
-    if (!path.empty() && tryLoadReference(path, machine_key, machine))
+    if (tryLoadReference(path, machine_key, machine))
         return references_.at(machine_key);
 
     RunResult result = runReference(*workload_, machine);

@@ -191,7 +191,8 @@ class Experiment
      * The inverse of seeding: persist a stage to a caller-named
      * artifact file (computing it first if needed), without copying
      * the memoized data — how the `bp` CLI writes its user-visible
-     * `-o FILE` / `--snapshots FILE` artifacts. Independent of
+     * `-o FILE` / `--snapshots FILE` artifacts, and how the stages
+     * publish into Config::artifactDir. Independent of
      * Config::artifactDir.
      */
     void exportProfiles(const std::string &path);

@@ -16,17 +16,8 @@ constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
 void
 appendLe(std::vector<uint8_t> &out, uint64_t v, unsigned bytes)
 {
-    for (unsigned i = 0; i < bytes; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint64_t
-readLe(const uint8_t *p, unsigned bytes)
-{
-    uint64_t v = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
+    out.resize(out.size() + bytes);
+    storeLe(out.data() + out.size() - bytes, v, bytes);
 }
 
 } // namespace
@@ -47,12 +38,6 @@ void
 Serializer::u64(uint64_t v)
 {
     appendLe(buffer_, v, 8);
-}
-
-void
-Serializer::i8(int8_t v)
-{
-    buffer_.push_back(static_cast<uint8_t>(v));
 }
 
 void
@@ -130,25 +115,19 @@ Deserializer::u8()
 uint32_t
 Deserializer::u32()
 {
-    return static_cast<uint32_t>(readLe(need(4), 4));
+    return static_cast<uint32_t>(loadLe(need(4), 4));
 }
 
 uint64_t
 Deserializer::u64()
 {
-    return readLe(need(8), 8);
-}
-
-int8_t
-Deserializer::i8()
-{
-    return static_cast<int8_t>(*need(1));
+    return loadLe(need(8), 8);
 }
 
 double
 Deserializer::f64()
 {
-    return std::bit_cast<double>(readLe(need(8), 8));
+    return std::bit_cast<double>(loadLe(need(8), 8));
 }
 
 bool
@@ -216,15 +195,6 @@ Deserializer::expectEnd() const
                              " trailing bytes after artifact payload");
 }
 
-uint64_t
-fnv1aHash(const uint8_t *data, size_t size)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < size; ++i)
-        hash = (hash ^ data[i]) * 0x100000001b3ull;
-    return hash;
-}
-
 bool
 fileExists(const std::string &path)
 {
@@ -240,19 +210,18 @@ writeArtifactFile(const std::string &path, uint32_t kind,
                   const Serializer &payload)
 {
     const std::vector<uint8_t> &body = payload.buffer();
-    std::vector<uint8_t> header;
-    header.reserve(kHeaderBytes);
-    appendLe(header, kMagic, 8);
-    appendLe(header, kArtifactVersion, 4);
-    appendLe(header, kind, 4);
-    appendLe(header, body.size(), 8);
-    appendLe(header, fnv1aHash(body.data(), body.size()), 8);
+    uint8_t header[kHeaderBytes];
+    storeLe(header, kMagic, 8);
+    storeLe(header + 8, kArtifactVersion, 4);
+    storeLe(header + 12, kind, 4);
+    storeLe(header + 16, body.size(), 8);
+    storeLe(header + 24, fnv1aHash(body.data(), body.size()), 8);
 
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         throw SerializeError("cannot open '" + path + "' for writing");
     const bool ok =
-        std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+        std::fwrite(header, 1, sizeof(header), f) == sizeof(header) &&
         (body.empty() ||
          std::fwrite(body.data(), 1, body.size(), f) == body.size());
     const bool closed = std::fclose(f) == 0;
@@ -279,21 +248,21 @@ readArtifactFile(const std::string &path, uint32_t kind)
     if (bytes.size() < kHeaderBytes)
         throw SerializeError("'" + path + "' is too short to be an artifact");
     const uint8_t *h = bytes.data();
-    if (readLe(h, 8) != kMagic)
+    if (loadLe(h, 8) != kMagic)
         throw SerializeError("'" + path + "' is not a BarrierPoint artifact");
-    const uint32_t version = static_cast<uint32_t>(readLe(h + 8, 4));
+    const uint32_t version = static_cast<uint32_t>(loadLe(h + 8, 4));
     if (version != kArtifactVersion)
         throw SerializeError("'" + path + "': unsupported artifact version " +
                              std::to_string(version));
-    const uint32_t file_kind = static_cast<uint32_t>(readLe(h + 12, 4));
+    const uint32_t file_kind = static_cast<uint32_t>(loadLe(h + 12, 4));
     if (file_kind != kind)
         throw SerializeError("'" + path + "': artifact kind " +
                              std::to_string(file_kind) + ", expected " +
                              std::to_string(kind));
-    const uint64_t payload_size = readLe(h + 16, 8);
+    const uint64_t payload_size = loadLe(h + 16, 8);
     if (payload_size != bytes.size() - kHeaderBytes)
         throw SerializeError("'" + path + "': payload length mismatch");
-    const uint64_t checksum = readLe(h + 24, 8);
+    const uint64_t checksum = loadLe(h + 24, 8);
     std::vector<uint8_t> payload(bytes.begin() + kHeaderBytes, bytes.end());
     if (fnv1aHash(payload.data(), payload.size()) != checksum)
         throw SerializeError("'" + path + "': payload checksum mismatch");
@@ -311,7 +280,7 @@ readArtifactKind(const std::string &path)
     std::fclose(f);
     if (got != sizeof(header))
         throw SerializeError("'" + path + "' is too short to be an artifact");
-    return static_cast<uint32_t>(readLe(header + 12, 4));
+    return static_cast<uint32_t>(loadLe(header + 12, 4));
 }
 
 } // namespace bp

@@ -1,6 +1,13 @@
 /**
  * @file
- * Versioned binary (de)serialization for on-disk artifacts.
+ * The byte codec and checksum of every file the pipeline writes, and
+ * the versioned binary (de)serialization of on-disk artifacts.
+ *
+ * storeLe()/loadLe() and fnv1aHash() are the only places the program
+ * spells its byte order and its checksum: the artifact framing below,
+ * the signature spill (core/artifacts.h) and the `.bptrace` trace
+ * format (trace_io/trace_format.h) all go through them, so the three
+ * formats cannot drift apart.
  *
  * The byte format is endian-stable (everything is written as
  * little-endian byte sequences regardless of host order), integers
@@ -15,6 +22,7 @@
 #ifndef BP_SUPPORT_SERIALIZE_H
 #define BP_SUPPORT_SERIALIZE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -32,6 +40,40 @@ class SerializeError : public std::runtime_error
 /** On-disk artifact format version; bump on any layout change. */
 constexpr uint32_t kArtifactVersion = 4;
 
+/** Store the low @p bytes bytes of @p v at @p out, least significant first. */
+inline void
+storeLe(uint8_t *out, uint64_t v, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Load @p bytes little-endian bytes at @p in. */
+inline uint64_t
+loadLe(const uint8_t *in, unsigned bytes)
+{
+    uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= static_cast<uint64_t>(in[i]) << (8 * i);
+    return v;
+}
+
+/** The 64-bit FNV-1a offset basis: the hash of zero bytes. */
+constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/**
+ * 64-bit FNV-1a of @p size bytes at @p data, the checksum of every
+ * file format. Pass a previous result as @p hash to continue it over
+ * more bytes.
+ */
+inline uint64_t
+fnv1aHash(const uint8_t *data, size_t size, uint64_t hash = kFnv1aBasis)
+{
+    for (size_t i = 0; i < size; ++i)
+        hash = (hash ^ data[i]) * 0x100000001b3ull;
+    return hash;
+}
+
 /** Append-only little-endian byte sink. */
 class Serializer
 {
@@ -39,7 +81,6 @@ class Serializer
     void u8(uint8_t v);
     void u32(uint32_t v);
     void u64(uint64_t v);
-    void i8(int8_t v);
     /** Bit-exact: writes the IEEE-754 image of @p v. */
     void f64(double v);
     void boolean(bool v);
@@ -67,7 +108,6 @@ class Deserializer
     uint8_t u8();
     uint32_t u32();
     uint64_t u64();
-    int8_t i8();
     double f64();
     bool boolean();
     std::string str();
@@ -94,9 +134,6 @@ class Deserializer
     std::vector<uint8_t> bytes_;
     size_t pos_ = 0;
 };
-
-/** 64-bit FNV-1a hash (the artifact payload checksum). */
-uint64_t fnv1aHash(const uint8_t *data, size_t size);
 
 /** @return true when @p path names a readable file (artifact probe). */
 bool fileExists(const std::string &path);

@@ -7,37 +7,37 @@ namespace bp {
 void
 encodeTraceHeader(uint8_t *out, const TraceHeader &header)
 {
-    leStore32(out, kTraceMagic);
-    leStore32(out + 4, kTraceVersion);
-    leStore32(out + 8, header.threadCount);
-    leStore32(out + 12, 0);  // reserved
-    leStore64(out + 16, header.regionCount);
-    leStore64(out + 24, header.indexOffset);
-    leStore64(out + 32, traceFnvUpdate(kTraceFnvBasis, out, 32));
+    storeLe(out, kTraceMagic, 4);
+    storeLe(out + 4, kTraceVersion, 4);
+    storeLe(out + 8, header.threadCount, 4);
+    storeLe(out + 12, 0, 4);  // reserved
+    storeLe(out + 16, header.regionCount, 8);
+    storeLe(out + 24, header.indexOffset, 8);
+    storeLe(out + 32, fnv1aHash(out, 32), 8);
 }
 
 TraceHeader
 decodeTraceHeader(const uint8_t *in, const std::string &path)
 {
-    if (leLoad32(in) != kTraceMagic)
+    if (loadLe(in, 4) != kTraceMagic)
         throw TraceError("'" + path + "' is not a bptrace file (bad magic)");
-    const uint32_t version = leLoad32(in + 4);
+    const uint64_t version = loadLe(in + 4, 4);
     if (version != kTraceVersion)
         throw TraceError("'" + path + "' has unsupported trace version " +
                          std::to_string(version) + " (this build reads " +
                          std::to_string(kTraceVersion) + ")");
-    if (leLoad64(in + 32) != traceFnvUpdate(kTraceFnvBasis, in, 32))
+    if (loadLe(in + 32, 8) != fnv1aHash(in, 32))
         throw TraceError("'" + path +
                          "' has a corrupt or unfinalized trace header "
                          "(checksum mismatch)");
-    if (leLoad32(in + 12) != 0)
+    if (loadLe(in + 12, 4) != 0)
         throw TraceError("'" + path +
                          "' sets reserved trace header bits this build "
                          "does not understand");
     TraceHeader header;
-    header.threadCount = leLoad32(in + 8);
-    header.regionCount = leLoad64(in + 16);
-    header.indexOffset = leLoad64(in + 24);
+    header.threadCount = static_cast<uint32_t>(loadLe(in + 8, 4));
+    header.regionCount = loadLe(in + 16, 8);
+    header.indexOffset = loadLe(in + 24, 8);
     if (header.threadCount < 1 || header.threadCount > kMaxCores)
         throw TraceError("'" + path + "' declares " +
                          std::to_string(header.threadCount) +

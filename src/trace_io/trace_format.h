@@ -6,8 +6,9 @@
  * micro-operation stream of every inter-barrier region, for every
  * thread, in a layout the replay side can seek into per region. It is
  * the external-workload counterpart of the artifact framing in
- * support/serialize.h and follows the same discipline — fixed-width
- * little-endian fields, magic/version header, FNV-1a checksums, typed
+ * support/serialize.h and shares its codec — fixed-width little-endian
+ * fields through storeLe()/loadLe(), and fnv1aHash() for all three
+ * checksums — plus the same discipline: magic/version header, typed
  * errors (TraceError) on every malformed input, never UB or a partial
  * result.
  *
@@ -112,75 +113,13 @@ struct TraceHeader
     uint64_t indexOffset = 0;
 };
 
-// Little-endian load/store helpers shared by the writer and reader.
-
-inline void
-leStore16(uint8_t *out, uint16_t v)
-{
-    for (unsigned b = 0; b < 2; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline void
-leStore32(uint8_t *out, uint32_t v)
-{
-    for (unsigned b = 0; b < 4; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline void
-leStore64(uint8_t *out, uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline uint16_t
-leLoad16(const uint8_t *in)
-{
-    uint16_t v = 0;
-    for (unsigned b = 0; b < 2; ++b)
-        v = static_cast<uint16_t>(v | in[b] << (8 * b));
-    return v;
-}
-
-inline uint32_t
-leLoad32(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        v |= static_cast<uint32_t>(in[b]) << (8 * b);
-    return v;
-}
-
-inline uint64_t
-leLoad64(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<uint64_t>(in[b]) << (8 * b);
-    return v;
-}
-
-/** FNV-1a offset basis, for incremental checksumming. */
-constexpr uint64_t kTraceFnvBasis = 0xcbf29ce484222325ull;
-
-/** Continue an FNV-1a hash over @p size more bytes. */
-inline uint64_t
-traceFnvUpdate(uint64_t hash, const uint8_t *data, size_t size)
-{
-    for (size_t i = 0; i < size; ++i)
-        hash = (hash ^ data[i]) * 0x100000001b3ull;
-    return hash;
-}
-
 /** Encode @p record into kTraceRecordBytes at @p out. */
 inline void
 encodeTraceRecord(uint8_t *out, const TraceRecord &record)
 {
-    leStore64(out, record.addr);
-    leStore32(out + 8, record.bb);
-    leStore16(out + 12, record.tid);
+    storeLe(out, record.addr, 8);
+    storeLe(out + 8, record.bb, 4);
+    storeLe(out + 12, record.tid, 2);
     out[14] = record.kind;
     out[15] = record.flags;
 }
@@ -190,9 +129,9 @@ inline TraceRecord
 decodeTraceRecord(const uint8_t *in)
 {
     TraceRecord record;
-    record.addr = leLoad64(in);
-    record.bb = leLoad32(in + 8);
-    record.tid = leLoad16(in + 12);
+    record.addr = loadLe(in, 8);
+    record.bb = static_cast<uint32_t>(loadLe(in + 8, 4));
+    record.tid = static_cast<uint16_t>(loadLe(in + 12, 2));
     record.kind = in[14];
     record.flags = in[15];
     return record;

@@ -85,9 +85,8 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
         const uint8_t *index_bytes = data_ + header_.indexOffset;
         const uint64_t index_size =
             header_.regionCount * kTraceIndexEntryBytes;
-        const uint64_t index_fnv =
-            traceFnvUpdate(kTraceFnvBasis, index_bytes, index_size);
-        if (leLoad64(index_bytes + index_size) != index_fnv)
+        if (loadLe(index_bytes + index_size, 8) !=
+            fnv1aHash(index_bytes, index_size))
             throw TraceError("'" + path +
                              "' has a corrupt trace region index "
                              "(trailer checksum mismatch)");
@@ -100,9 +99,9 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
         for (uint64_t i = 0; i < header_.regionCount; ++i) {
             TraceRegionIndexEntry entry;
             const uint8_t *raw = index_bytes + i * kTraceIndexEntryBytes;
-            entry.offset = leLoad64(raw);
-            entry.count = leLoad64(raw + 8);
-            entry.checksum = leLoad64(raw + 16);
+            entry.offset = loadLe(raw, 8);
+            entry.count = loadLe(raw + 8, 8);
+            entry.checksum = loadLe(raw + 16, 8);
             if (entry.offset != cursor)
                 throw TraceError("'" + path + "' trace region " +
                                  std::to_string(i) +
@@ -136,10 +135,10 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
 
         // Header + index (which embeds every region's payload
         // checksum) pin down the whole file's content.
-        contentHash_ = traceFnvUpdate(kTraceFnvBasis, data_,
-                                      kTraceHeaderBytes);
-        contentHash_ = traceFnvUpdate(contentHash_, index_bytes,
-                                      index_size + kTraceTrailerBytes);
+        contentHash_ = fnv1aHash(data_, kTraceHeaderBytes);
+        contentHash_ = fnv1aHash(index_bytes,
+                                 index_size + kTraceTrailerBytes,
+                                 contentHash_);
     } catch (...) {
         ::munmap(const_cast<uint8_t *>(data_), size_);
         data_ = nullptr;
@@ -161,7 +160,7 @@ TraceReader::scanRegion(uint64_t index,
     const TraceRegionIndexEntry &entry = index_[index];
     const uint8_t *bytes = data_ + entry.offset;
     const uint64_t size = entry.count * kTraceRecordBytes;
-    if (traceFnvUpdate(kTraceFnvBasis, bytes, size) != entry.checksum)
+    if (fnv1aHash(bytes, size) != entry.checksum)
         throw TraceError("'" + path_ + "' trace region " +
                          std::to_string(index) +
                          " is corrupt (payload checksum mismatch)");

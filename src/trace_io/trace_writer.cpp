@@ -29,7 +29,7 @@ TraceWriter::TraceWriter(const std::string &path, unsigned thread_count,
     // a file that never reaches close() can never validate.
     uint8_t header[kTraceHeaderBytes];
     encodeTraceHeader(header, {threads_, 0, 0});
-    leStore64(header + 32, 0);
+    storeLe(header + 32, 0, 8);
     if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
         std::fclose(file_);
         file_ = nullptr;
@@ -54,7 +54,7 @@ TraceWriter::writeRecordBytes(const uint8_t *bytes, size_t size)
 {
     if (std::fwrite(bytes, 1, size, file_) != size)
         throw TraceError("short write to trace file '" + path_ + "'");
-    regionFnv_ = traceFnvUpdate(regionFnv_, bytes, size);
+    regionFnv_ = fnv1aHash(bytes, size, regionFnv_);
     fileOffset_ += size;
 }
 
@@ -110,7 +110,7 @@ TraceWriter::endRegion()
     entry.checksum = regionFnv_;
     index_.push_back(entry);
     regionStart_ = fileOffset_;
-    regionFnv_ = kTraceFnvBasis;
+    regionFnv_ = kFnv1aBasis;
 }
 
 void
@@ -142,18 +142,18 @@ TraceWriter::close()
     }
 
     const uint64_t index_offset = fileOffset_;
-    uint64_t index_fnv = kTraceFnvBasis;
+    uint64_t index_fnv = kFnv1aBasis;
     for (const TraceRegionIndexEntry &entry : index_) {
         uint8_t bytes[kTraceIndexEntryBytes];
-        leStore64(bytes, entry.offset);
-        leStore64(bytes + 8, entry.count);
-        leStore64(bytes + 16, entry.checksum);
-        index_fnv = traceFnvUpdate(index_fnv, bytes, sizeof(bytes));
+        storeLe(bytes, entry.offset, 8);
+        storeLe(bytes + 8, entry.count, 8);
+        storeLe(bytes + 16, entry.checksum, 8);
+        index_fnv = fnv1aHash(bytes, sizeof(bytes), index_fnv);
         ok = ok && std::fwrite(bytes, 1, sizeof(bytes), file) ==
                        sizeof(bytes);
     }
     uint8_t trailer[kTraceTrailerBytes];
-    leStore64(trailer, index_fnv);
+    storeLe(trailer, index_fnv, 8);
     ok = ok && std::fwrite(trailer, 1, sizeof(trailer), file) ==
                    sizeof(trailer);
 

@@ -93,7 +93,7 @@ class TraceWriter
     std::vector<TraceRegionIndexEntry> index_;
     uint64_t fileOffset_ = kTraceHeaderBytes;
     uint64_t regionStart_ = kTraceHeaderBytes;
-    uint64_t regionFnv_ = kTraceFnvBasis;
+    uint64_t regionFnv_ = kFnv1aBasis;
     uint64_t totalRecords_ = 0;
     uint64_t fileBytes_ = 0;
 };

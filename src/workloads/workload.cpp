@@ -5,6 +5,7 @@
 #include "src/support/core_set.h"
 #include "src/support/logging.h"
 #include "src/support/rng.h"
+#include "src/support/serialize.h"
 
 namespace bp {
 
@@ -19,9 +20,8 @@ Workload::Workload(std::string name, const WorkloadParams &params)
         fatal("thread count must be in [1, %u], got %u", kMaxCores,
               params_.threads);
     BP_ASSERT(params_.scale > 0.0, "scale must be positive");
-    uint64_t name_hash = 0xcbf29ce484222325ull;
-    for (const char c : name_)
-        name_hash = (name_hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+    const uint64_t name_hash = fnv1aHash(
+        reinterpret_cast<const uint8_t *>(name_.data()), name_.size());
     addressWindow_ = (name_hash & 0x3F) << 38;
 }
 

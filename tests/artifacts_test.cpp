@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/core/artifacts.h"
 #include "src/core/barrierpoint.h"
@@ -34,6 +35,22 @@ class TempFile
   private:
     std::string path_;
 };
+
+/** FNV-1a of the whole file at @p path: framing and payload bytes. */
+uint64_t
+fileDigest(const std::string &path)
+{
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr) << path;
+    std::vector<uint8_t> bytes;
+    uint8_t chunk[4096];
+    size_t n;
+    while (file && (n = std::fread(chunk, 1, sizeof(chunk), file)) > 0)
+        bytes.insert(bytes.end(), chunk, chunk + n);
+    if (file)
+        std::fclose(file);
+    return fnv1aHash(bytes.data(), bytes.size());
+}
 
 WorkloadSpec
 smallSpec()
@@ -430,6 +447,13 @@ TEST(ArtifactsTest, PayloadDigestsArePinned)
     EXPECT_EQ(artifactPayloadDigest(analysis.path()), 0x3fc9041d4efd1ea2ull);
     EXPECT_EQ(artifactPayloadDigest(snapshots.path()), 0xac50398f1e3dd0e7ull);
     EXPECT_EQ(artifactPayloadDigest(result.path()), 0x605abcfa53cab81eull);
+
+    // The whole files too: the framing and every provenance byte are
+    // on-disk format, which a refactor must not move.
+    EXPECT_EQ(fileDigest(profile.path()), 0x7ca122d24b04605cull);
+    EXPECT_EQ(fileDigest(analysis.path()), 0xaf86c839f5d669fcull);
+    EXPECT_EQ(fileDigest(snapshots.path()), 0x48854b6ae3b5969eull);
+    EXPECT_EQ(fileDigest(result.path()), 0x2bf8d05255a05d5aull);
 
     // Provenance is not payload: another spec digests the same.
     ProfileArtifact moved = fixedProfileArtifact();

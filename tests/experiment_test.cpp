@@ -284,6 +284,18 @@ TEST(ExperimentTest, ColdAndWarmSessionsShareBitIdenticalArtifacts)
     for (const auto &[path, bytes] : cold_bytes)
         EXPECT_EQ(fileBytes(path), bytes) << path;
     EXPECT_EQ(dir.filesMatching(".bp").size(), 5u);
+
+    // An unreadable artifact is a miss, not an error: with every file
+    // one byte short, a third session recomputes each stage and
+    // republishes exactly the cold bytes.
+    for (const auto &[path, bytes] : cold_bytes)
+        std::filesystem::resize_file(path, bytes.size() - 1);
+    Experiment recovered(spec, config);
+    expectEstimateBitEqual(recovered.estimate(machine), cold_estimate);
+    recovered.reference(machine);
+    for (const auto &[path, bytes] : cold_bytes)
+        EXPECT_EQ(fileBytes(path), bytes) << path;
+    EXPECT_EQ(dir.filesMatching(".bp").size(), 5u);
 }
 
 TEST(ExperimentTest, OptionsChangeComputesFreshAnalysis)

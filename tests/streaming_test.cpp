@@ -93,6 +93,15 @@ TEST(SignatureSpillTest, RoundTripIsBitExact)
     for (size_t i = 0; i < read.size(); ++i)
         expectBitEqual(read[i], written[i]);
 
+    // The bytes are pinned: little-endian IEEE-754 images on any host.
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    std::vector<uint8_t> bytes(std::filesystem::file_size(path));
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+    EXPECT_EQ(bytes.size(), 16824u);
+    EXPECT_EQ(fnv1aHash(bytes.data(), bytes.size()), 0x676bfcb45271700full);
+
     // rewind() restarts the stream from the first point.
     reader.rewind();
     double again[dim];
@@ -137,6 +146,20 @@ TEST(SignatureSpillTest, ReaderRejectsUnpatchedHeader)
     const char zeros[8] = {};
     ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
     ASSERT_EQ(std::fwrite(zeros, 1, 8, f), 8u);
+    std::fclose(f);
+    EXPECT_THROW(SignatureSpillReader reader(path), SerializeError);
+
+    // A header-only file whose count times the point size wraps to 0
+    // in 64 bits (2^61 points of dim 8) must not pass the size check.
+    {
+        SignatureSpillWriter writer(path, 8);
+        writer.close();
+    }
+    f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const unsigned char huge[8] = {0, 0, 0, 0, 0, 0, 0, 0x20};  // 2^61
+    ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(huge, 1, 8, f), 8u);
     std::fclose(f);
     EXPECT_THROW(SignatureSpillReader reader(path), SerializeError);
     std::filesystem::remove(path);

@@ -76,23 +76,21 @@ writeFile(const std::string &path, const uint8_t *bytes, size_t size)
 void
 refreshChecksums(std::vector<uint8_t> &bytes)
 {
-    const uint64_t region_count = leLoad64(bytes.data() + 16);
-    const uint64_t index_offset = leLoad64(bytes.data() + 24);
+    const uint64_t region_count = loadLe(bytes.data() + 16, 8);
+    const uint64_t index_offset = loadLe(bytes.data() + 24, 8);
     for (uint64_t i = 0; i < region_count; ++i) {
         uint8_t *entry = bytes.data() + index_offset +
                          i * kTraceIndexEntryBytes;
-        const uint64_t offset = leLoad64(entry);
-        const uint64_t count = leLoad64(entry + 8);
-        leStore64(entry + 16,
-                  traceFnvUpdate(kTraceFnvBasis, bytes.data() + offset,
-                                 count * kTraceRecordBytes));
+        const uint64_t offset = loadLe(entry, 8);
+        const uint64_t count = loadLe(entry + 8, 8);
+        storeLe(entry + 16,
+                fnv1aHash(bytes.data() + offset, count * kTraceRecordBytes),
+                8);
     }
-    leStore64(bytes.data() + index_offset +
-                  region_count * kTraceIndexEntryBytes,
-              traceFnvUpdate(kTraceFnvBasis, bytes.data() + index_offset,
-                             region_count * kTraceIndexEntryBytes));
-    leStore64(bytes.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bytes.data(), 32));
+    const uint64_t index_bytes = region_count * kTraceIndexEntryBytes;
+    storeLe(bytes.data() + index_offset + index_bytes,
+            fnv1aHash(bytes.data() + index_offset, index_bytes), 8);
+    storeLe(bytes.data() + 32, fnv1aHash(bytes.data(), 32), 8);
 }
 
 /** Randomized multi-thread regions with a deterministic seed. */
@@ -176,7 +174,11 @@ TEST(TraceIoTest, WriterIsDeterministic)
             writer.appendRegion(region);
         writer.close();
     }
-    EXPECT_EQ(readFile(a.path()), readFile(b.path()));
+    const std::vector<uint8_t> bytes = readFile(a.path());
+    EXPECT_EQ(readFile(b.path()), bytes);
+    // The bytes are pinned: a layout change must be deliberate.
+    EXPECT_EQ(bytes.size(), 21152u);
+    EXPECT_EQ(fnv1aHash(bytes.data(), bytes.size()), 0xd6cc053ac0f36b23ull);
 }
 
 TEST(TraceIoTest, TruncationIsRejectedAtEveryPrefixLength)
@@ -232,9 +234,8 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     expectThrowContaining(bad, "not a bptrace file");
 
     bad = good;
-    leStore32(bad.data() + 4, kTraceVersion + 1);
-    leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+    storeLe(bad.data() + 4, kTraceVersion + 1, 4);
+    storeLe(bad.data() + 32, fnv1aHash(bad.data(), 32), 8);
     expectThrowContaining(bad, "unsupported trace version");
 
     bad = good;
@@ -246,15 +247,13 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     expectThrowContaining(bad, "corrupt or unfinalized");
 
     bad = good;
-    leStore32(bad.data() + 12, 1);  // reserved field
-    leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+    storeLe(bad.data() + 12, 1, 4);  // reserved field
+    storeLe(bad.data() + 32, fnv1aHash(bad.data(), 32), 8);
     expectThrowContaining(bad, "reserved");
 
     bad = good;
-    leStore32(bad.data() + 8, 0);  // zero threads
-    leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+    storeLe(bad.data() + 8, 0, 4);  // zero threads
+    storeLe(bad.data() + 32, fnv1aHash(bad.data(), 32), 8);
     expectThrowContaining(bad, "threads");
 
     // Index trailer checksum.
@@ -263,7 +262,7 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     expectThrowContaining(bad, "trailer checksum");
 
     // A flipped index entry byte is caught by the trailer checksum.
-    const uint64_t index_offset = leLoad64(good.data() + 24);
+    const uint64_t index_offset = loadLe(good.data() + 24, 8);
     bad = good;
     bad[index_offset + 8] ^= 0x01;  // region 0's record count
     expectThrowContaining(bad, "trailer checksum");
@@ -289,7 +288,7 @@ TEST(TraceIoTest, UnfinalizedFileIsRejected)
     std::vector<uint8_t> bytes = readFile(file.path());
     // Re-zero the checksum field exactly as the provisional header
     // written at construction time has it.
-    leStore64(bytes.data() + 32, 0);
+    storeLe(bytes.data() + 32, 0, 8);
     writeFile(file.path(), bytes.data(), bytes.size());
     try {
         TraceReader reader(file.path());
@@ -313,9 +312,9 @@ TEST(TraceIoTest, PayloadCorruptionIsCaughtOnRegionAccess)
     // Flip one bit of region 1's first record. The file still opens
     // (header and index are intact) but region 1 fails its checksum;
     // regions 0 and 2 stay readable.
-    const uint64_t index_offset = leLoad64(bytes.data() + 24);
+    const uint64_t index_offset = loadLe(bytes.data() + 24, 8);
     const uint64_t region1_offset =
-        leLoad64(bytes.data() + index_offset + kTraceIndexEntryBytes);
+        loadLe(bytes.data() + index_offset + kTraceIndexEntryBytes, 8);
     bytes[region1_offset] ^= 0x80;
     writeFile(file.path(), bytes.data(), bytes.size());
 
@@ -370,20 +369,20 @@ TEST(TraceIoTest, RecordLevelViolationsAreRejected)
     expectRejected(bad, "unknown kind");
 
     bad = good;
-    leStore16(record(bad, 0) + 12, 7);  // tid out of range
+    storeLe(record(bad, 0) + 12, 7, 2);  // tid out of range
     expectRejected(bad, "names thread");
 
     bad = good;
-    leStore64(record(bad, 1), 0xdead);  // alu with an address
+    storeLe(record(bad, 1), 0xdead, 8);  // alu with an address
     expectRejected(bad, "Alu record with a nonzero address");
 
     bad = good;
-    leStore64(record(bad, 3), 0xbeef);  // barrier with payload
+    storeLe(record(bad, 3), 0xbeef, 8);  // barrier with payload
     expectRejected(bad, "barrier marker with nonzero payload");
     expectRejected(bad, "trace region 0 record 3 is a barrier marker");
 
     bad = good;
-    leStore16(record(bad, 4) + 12, 0);  // t1's barrier reassigned to t0
+    storeLe(record(bad, 4) + 12, 0, 2);  // t1's barrier reassigned to t0
     expectRejected(bad, "follows thread 0's barrier");
 
     bad = good;

@@ -28,11 +28,21 @@ once, so review never has to re-catch it:
   header-guard      A header with neither `#pragma once` nor an
                     include-guard `#ifndef`/`#define` pair.
 
-  artifact-version  Structural edits to src/core/artifacts.h without a
+  artifact-version  Code edits inside the bodies of the structs
+                    src/core/artifacts.h serializes (WorkloadSpec and
+                    the four *Artifact structs) without a
                     kArtifactVersion bump (src/support/serialize.h):
                     serialized-struct drift must invalidate on-disk
-                    artifacts, never reinterpret them. Checked against
-                    `git diff` when available; silent otherwise.
+                    artifacts, never reinterpret them. Other
+                    declarations in the file change no format. Checked
+                    against `git diff` when available; silent
+                    otherwise.
+
+  one-codec         The FNV-1a offset basis or prime anywhere but
+                    src/support/serialize.h: artifacts, signature
+                    spills and `.bptrace` traces share its one
+                    little-endian codec and one checksum, so a second
+                    copy of either is a format that can drift.
 
 Usage:
   bp_lint.py [--root DIR] [--diff-base REF] [--list-rules]
@@ -61,6 +71,11 @@ MUTEX_EXEMPT_FILES = {"src/support/mutex.h"}
 ARTIFACT_STRUCT_FILE = "src/core/artifacts.h"
 ARTIFACT_VERSION_FILE = "src/support/serialize.h"
 ARTIFACT_VERSION_TOKEN = "kArtifactVersion"
+# The structs whose fields saveArtifact() writes.
+SERIALIZED_STRUCTS = ("WorkloadSpec", "ProfileArtifact", "AnalysisArtifact",
+                      "SnapshotArtifact", "RunResultArtifact")
+
+CODEC_FILE = "src/support/serialize.h"
 
 
 class Finding:
@@ -75,6 +90,21 @@ class Finding:
         return f"{where}: [{self.rule}] {self.message}"
 
 
+# The digits before a `'` that makes it a C++14 digit separator
+# (`0x5441'4350ull`): a number token, not an identifier or the prefix
+# of a character literal (`u8'a'`).
+NUMBER_HEAD_RE = re.compile(r"(?<![\w'])\d[\w']*\Z")
+
+
+def is_digit_separator(text, i):
+    return (i + 1 < len(text) and text[i + 1].isalnum() and
+            NUMBER_HEAD_RE.search(text, max(0, i - 64), i) is not None)
+
+
+def blank(text):
+    return "".join(ch if ch == "\n" else " " for ch in text)
+
+
 def strip_comments_and_strings(text):
     """Blank out comments and string/char literals, preserving line
     structure, so rules never fire on prose or quoted examples."""
@@ -83,7 +113,10 @@ def strip_comments_and_strings(text):
     while i < n:
         c = text[i]
         nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
+        if c == "'" and is_digit_separator(text, i):
+            out.append(c)
+            i += 1
+        elif c == "/" and nxt == "/":
             end = text.find("\n", i)
             if end == -1:
                 end = n
@@ -92,17 +125,15 @@ def strip_comments_and_strings(text):
         elif c == "/" and nxt == "*":
             end = text.find("*/", i + 2)
             end = n if end == -1 else end + 2
-            out.append("".join(ch if ch == "\n" else " "
-                               for ch in text[i:end]))
+            out.append(blank(text[i:end]))
             i = end
         elif c in "\"'":
-            quote = c
             j = i + 1
-            while j < n and text[j] != quote:
+            while j < n and text[j] != c:
                 j += 2 if text[j] == "\\" else 1
             j = min(j + 1, n)
-            out.append(quote + " " * (j - i - 2) + (quote if j - i > 1
-                                                    else ""))
+            out.append(c + blank(text[i + 1:j - 1]) +
+                       (c if j - i > 1 else ""))
             i = j
         else:
             out.append(c)
@@ -219,27 +250,62 @@ def check_header_guard(rel_path, raw_text, code):
         "include guard")]
 
 
-DIFF_FILE_RE = re.compile(r"^\+\+\+ b/(.*)$", re.MULTILINE)
+# The FNV-1a offset basis and prime, digit separators removed first.
+FNV_CONSTANT_RE = re.compile(
+    r"\b0x0*(?:cbf29ce484222325|100000001b3)(?![0-9a-f])", re.IGNORECASE)
 
 
-def diff_touches(diff_text, path, token=None):
-    """True when @p diff_text contains a structural (non-comment,
-    non-blank) added/removed line in @p path — optionally only lines
-    containing @p token."""
+def check_one_codec(rel_path, code):
+    if rel_path == CODEC_FILE:
+        return []
+    code = code.replace("'", "")
+    return [Finding(
+        "one-codec", rel_path, line_of(code, match.start()),
+        "FNV-1a constant outside the one codec: checksum through "
+        f"fnv1aHash() from {CODEC_FILE}, which every file format "
+        "shares")
+        for match in FNV_CONSTANT_RE.finditer(code)]
+
+
+HUNK_RE = re.compile(r"@@ [^@]* @@ ?(.*)")
+TYPE_HEAD_RE = re.compile(r"(?:struct|class)\s+(\w+)")
+
+
+def opens_serialized_struct(line):
+    head = TYPE_HEAD_RE.match(line)
+    return bool(head) and head.group(1) in SERIALIZED_STRUCTS
+
+
+def diff_changed_lines(diff_text, path):
+    """Yield (code, in_serialized_struct) for each added/removed code
+    line of @p path in @p diff_text; comment and blank churn is
+    skipped. Decided from the diff text alone: a hunk starts inside a
+    serialized struct when git names the struct as the hunk's context,
+    a `struct`/`class` head line opens one, and any other line at
+    column 0 except `{` (a top-level declaration, comment or `};`)
+    closes it — struct members are indented."""
     current = None
+    inside = False
     for line in diff_text.splitlines():
-        if line.startswith("+++ b/"):
-            current = line[6:]
-        elif line.startswith("--- "):
+        if line.startswith("+++ "):
+            current = line[6:] if line.startswith("+++ b/") else None
             continue
-        elif current == path and line[:1] in "+-" and \
-                not line.startswith(("+++", "---")):
-            body = line[1:].strip()
-            if not body or body.startswith(("//", "/*", "*", "*/")):
-                continue  # comment/blank churn never forces a bump
-            if token is None or token in body:
-                return True
-    return False
+        if line.startswith("--- ") or current != path:
+            continue
+        hunk = HUNK_RE.match(line)
+        if hunk:
+            inside = opens_serialized_struct(hunk.group(1))
+            continue
+        if line[:1] not in (" ", "+", "-"):
+            continue  # e.g. "\ No newline at end of file"
+        text = line[1:]
+        if text[:1] not in ("", " ", "\t", "{"):
+            inside = opens_serialized_struct(text)
+        body = text.strip()
+        if line[0] == " " or not body or \
+                body.startswith(("//", "/*", "*", "*/")):
+            continue  # context, or comment/blank churn
+        yield body, inside
 
 
 def collect_git_diff(root, diff_base):
@@ -266,10 +332,11 @@ def collect_git_diff(root, diff_base):
 def check_artifact_version(diff_text):
     if diff_text is None:
         return []
-    if not diff_touches(diff_text, ARTIFACT_STRUCT_FILE):
+    if not any(inside for _, inside in
+               diff_changed_lines(diff_text, ARTIFACT_STRUCT_FILE)):
         return []
-    if diff_touches(diff_text, ARTIFACT_VERSION_FILE,
-                    ARTIFACT_VERSION_TOKEN):
+    if any(ARTIFACT_VERSION_TOKEN in body for body, _ in
+           diff_changed_lines(diff_text, ARTIFACT_VERSION_FILE)):
         return []
     return [Finding(
         "artifact-version", ARTIFACT_STRUCT_FILE, 0,
@@ -308,6 +375,7 @@ def lint_tree(root, diff_base=None):
         findings.extend(check_raw_parse(rel_path, code))
         findings.extend(check_mutex_guards(rel_path, code))
         findings.extend(check_header_guard(rel_path, raw_text, code))
+        findings.extend(check_one_codec(rel_path, code))
     findings.extend(
         check_artifact_version(collect_git_diff(root, diff_base)))
     return findings
@@ -335,9 +403,15 @@ const char *example = "atoi(argv[1]) inside a string literal";
 """
 
 VIOLATION_FIXTURES = {
+    # The digit-separated constant must not hide the rest of the file.
     "shift-variable": """\
 #pragma once
+constexpr unsigned long long kFixtureMagic = 0x5441'4350ull;
 unsigned long mask(unsigned n) { return 1ull << n; }
+""",
+    "one-codec": """\
+#pragma once
+constexpr unsigned long long kFixtureBasis = 0xcbf29ce484222325ull;
 """,
     "raw-parse": """\
 #pragma once
@@ -382,6 +456,28 @@ ARTIFACT_CLEAN_DIFFS = (
 @@ -5,3 +5,3 @@
 -// old wording
 +// new wording
+""",
+    # A new free function after a serialized struct's closing brace.
+    """\
+--- a/src/core/artifacts.h
++++ b/src/core/artifacts.h
+@@ -148,6 +148,8 @@ struct RunResultArtifact
+     RunResult result;
+ };
+ 
++uint64_t artifactPayloadDigest(const std::string &path);
++
+ void saveArtifact(const std::string &path, const ProfileArtifact &artifact);
+""",
+    # A new member of a class that is not written into artifacts.
+    """\
+--- a/src/core/artifacts.h
++++ b/src/core/artifacts.h
+@@ -212,6 +212,7 @@ class SignatureSpillWriter
+   private:
+     std::FILE *file_ = nullptr;
++    std::vector<uint8_t> encoded_;
+     std::string path_;
 """,
 )
 
@@ -455,7 +551,7 @@ def main(argv):
 
     if args.list_rules:
         print("shift-variable raw-parse mutex-guard header-guard "
-              "artifact-version")
+              "artifact-version one-codec")
         return 0
     if args.self_test:
         return run_self_test()
