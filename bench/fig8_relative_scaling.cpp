@@ -12,9 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "bench/bench_util.h"
+#include "src/support/parse_uint.h"
 
 int
 main(int argc, char **argv)
@@ -22,14 +23,14 @@ main(int argc, char **argv)
     using namespace bp;
     double scale = 1.0;
     if (argc > 1) {
-        char *end = nullptr;
-        scale = std::strtod(argv[1], &end);
-        if (end == argv[1] || *end != '\0' || !(scale > 0.0)) {
+        const std::optional<double> parsed = parseReal(argv[1]);
+        if (!parsed || !(*parsed > 0.0)) {
             std::fprintf(stderr,
                          "usage: %s [scale > 0]  (got '%s')\n", argv[0],
                          argv[1]);
             return 2;
         }
+        scale = *parsed;
     }
     printHeader("speedup over the 8-core machine: actual vs predicted",
                 "Figure 8");

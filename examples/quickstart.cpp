@@ -16,11 +16,14 @@
  * Usage: quickstart [workload-name] [threads] [scale]
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "src/core/barrierpoint.h"
+#include "src/support/core_set.h"
+#include "src/support/parse_uint.h"
 #include "src/support/stats.h"
 
 int
@@ -28,9 +31,20 @@ main(int argc, char **argv)
 {
     bp::WorkloadSpec spec;
     spec.name = argc > 1 ? argv[1] : "npb-ft";
-    spec.threads =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
-    spec.scale = argc > 3 ? std::atof(argv[3]) : 1.0;
+    const std::optional<uint64_t> threads =
+        argc > 2 ? bp::parseUint(argv[2]) : 8;
+    const std::optional<double> scale =
+        argc > 3 ? bp::parseReal(argv[3]) : 1.0;
+    if (!threads || *threads < 1 || *threads > bp::kMaxCores || !scale ||
+        !(*scale > 0.0)) {
+        std::fprintf(stderr,
+                     "usage: %s [workload-name] [threads in [1, %u]] "
+                     "[scale > 0]\n",
+                     argv[0], bp::kMaxCores);
+        return 2;
+    }
+    spec.threads = static_cast<unsigned>(*threads);
+    spec.scale = *scale;
 
     bp::Experiment experiment(spec);
     const bp::MachineConfig machine =

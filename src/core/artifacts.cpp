@@ -84,9 +84,11 @@ serializeSnapshotsPayload(Serializer &s, const SnapshotArtifact &artifact)
 MruSnapshotSet
 deserializeSnapshots(Deserializer &d)
 {
-    MruSnapshotSet snapshots(d.size());
+    // Each per-core set and each entry list is at least its 8-byte
+    // count; an MruEntry is a u64 line and two booleans.
+    MruSnapshotSet snapshots(d.size(8));
     for (auto &per_core : snapshots) {
-        per_core.resize(d.size());
+        per_core.resize(d.size(8));
         for (auto &entries : per_core) {
             const size_t n = d.size(10);
             entries.reserve(n);
@@ -208,7 +210,8 @@ loadProfileArtifact(const std::string &path)
     ProfileArtifact artifact;
     artifact.workload.deserialize(d);
     artifact.profiling = deserializeProfilingConfig(d);
-    artifact.profiles.resize(d.size());
+    // A RegionProfile is at least its u32 index and thread count.
+    artifact.profiles.resize(d.size(4 + 8));
     for (RegionProfile &profile : artifact.profiles)
         profile.deserialize(d);
     d.expectEnd();

@@ -45,7 +45,7 @@ profileWorkloadToSink(const Workload &workload,
 {
     ThreadPool &pool = exec.pool();
     const unsigned regions = workload.regionCount();
-    RegionProfiler profiler(workload.threadCount(), 0, profiling);
+    RegionProfiler profiler(workload.threadCount(), profiling);
 
     if (pool.threadCount() <= 1) {
         for (unsigned r = 0; r < regions; ++r)

@@ -46,7 +46,8 @@ void
 BarrierPointAnalysis::deserialize(Deserializer &d)
 {
     points.clear();
-    points.resize(d.size());
+    // u32 region and cluster, two f64, a u64 and a boolean.
+    points.resize(d.size(4 + 4 + 8 + 8 + 8 + 1));
     for (BarrierPoint &point : points)
         point.deserialize(d);
     regionToPoint = d.u32vec();

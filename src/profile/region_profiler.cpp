@@ -51,7 +51,7 @@ void
 ThreadProfile::deserialize(Deserializer &d)
 {
     bbv.clear();
-    const size_t bbs = d.size();
+    const size_t bbs = d.size(4 + 8);
     bbv.reserve(bbs);
     for (size_t i = 0; i < bbs; ++i) {
         const uint32_t bb = d.u32();
@@ -59,7 +59,7 @@ ThreadProfile::deserialize(Deserializer &d)
     }
 
     ldv.clear();
-    const size_t buckets = d.size();
+    const size_t buckets = d.size(8);
     if (buckets != ldv.numBuckets())
         throw SerializeError("LDV bucket count mismatch");
     for (unsigned b = 0; b < buckets; ++b) {
@@ -87,13 +87,85 @@ RegionProfile::deserialize(Deserializer &d)
 {
     regionIndex = d.u32();
     threads.clear();
-    threads.resize(d.size());
+    // An empty BBV, the fixed LDV and three counters.
+    threads.resize(d.size(8 + 8 + kLdvBuckets * 8 + 3 * 8));
     for (ThreadProfile &thread : threads)
         thread.deserialize(d);
 }
 
+namespace {
+
+/** An exact stack distance is a sample of weight 1, so one profiling
+ *  loop serves both collectors. */
+SampledReuseDistanceCollector::Sample
+sampleReuse(ReuseDistanceCollector &reuse, uint64_t line, uint64_t hash)
+{
+    return {reuse.access(line, hash), 1};
+}
+
+SampledReuseDistanceCollector::Sample
+sampleReuse(SampledReuseDistanceCollector &reuse, uint64_t line,
+            uint64_t hash)
+{
+    return reuse.access(line, hash);
+}
+
+/**
+ * One thread's profiling of one region through @p reuse. Every
+ * admitted access lands in the LDV with its sample's weight — 1 for
+ * the exact collector, the rate correction for SHARDS sampling — so
+ * a sampled histogram approximates the exact path's mass. The
+ * sampling predicate depends only on the shared per-access hash,
+ * making the filter free and the output independent of thread count.
+ */
+template <typename Collector>
+void
+profileThread(const std::vector<MicroOp> &ops, Collector &reuse,
+              FlatMap<uint64_t> &bbv, ThreadProfile &thread_profile)
+{
+    bbv.clear();
+    uint64_t lookahead_hash = 0;
+    size_t lookahead_index = SIZE_MAX;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        const MicroOp &op = ops[i];
+        ++thread_profile.instructions;
+        ++*bbv.insert(op.bb).first;
+        if (!op.isMem())
+            continue;
+        ++thread_profile.memOps;
+        const uint64_t line = lineOf(op.addr);
+        // One mix of the line per access (reusing the lookahead's
+        // hash when the previous iteration already computed it); the
+        // probes are usually cache misses over footprint-sized
+        // tables, so start the next access's probe now and let it
+        // overlap this access's Fenwick work.
+        const uint64_t hash = lookahead_index == i
+            ? lookahead_hash : flatHash(line);
+        if (i + 1 < ops.size() && ops[i + 1].isMem()) {
+            lookahead_hash = flatHash(lineOf(ops[i + 1].addr));
+            lookahead_index = i + 1;
+            reuse.prefetch(lookahead_hash);
+        }
+        const auto sample = sampleReuse(reuse, line, hash);
+        if (!sample.sampled())
+            continue;
+        if (sample.distance == ReuseDistanceCollector::kCold) {
+            thread_profile.coldAccesses += sample.weight;
+            thread_profile.ldv.add(kColdDistanceMarker, sample.weight);
+        } else {
+            thread_profile.ldv.add(sample.distance, sample.weight);
+        }
+    }
+
+    thread_profile.bbv.reserve(bbv.size());
+    bbv.forEach([&](uint64_t bb, uint64_t count) {
+        thread_profile.bbv.emplace(static_cast<uint32_t>(bb), count);
+    });
+}
+
+} // namespace
+
 RegionProfiler::RegionProfiler(unsigned threads,
-                               uint64_t mru_capacity_lines,
                                const ProfilingConfig &profiling)
     : threads_(threads), profiling_(profiling)
 {
@@ -106,11 +178,6 @@ RegionProfiler::RegionProfiler(unsigned threads,
             sampledReuse_.emplace_back(profiling_);
     }
     bbvScratch_.resize(threads_);
-    if (mru_capacity_lines > 0) {
-        mru_.reserve(threads_);
-        for (unsigned t = 0; t < threads_; ++t)
-            mru_.emplace_back(mru_capacity_lines);
-    }
 }
 
 RegionProfile
@@ -123,126 +190,17 @@ RegionProfiler::profileRegion(const RegionTrace &region, ThreadPool *pool)
     profile.regionIndex = region.regionIndex();
     profile.threads.resize(threads_);
 
-    // Thread t touches only reuse_[t], mru_[t], bbvScratch_[t] and
+    // Thread t touches only its own collector, bbvScratch_[t] and
     // profile.threads[t].
     parallelFor(pool, 0, threads_, [&](uint64_t t) {
         if (profiling_.exactMode())
-            profileThreadExact(region, t, profile.threads[t]);
+            profileThread(region.thread(t), reuse_[t], bbvScratch_[t],
+                          profile.threads[t]);
         else
-            profileThreadSampled(region, t, profile.threads[t]);
+            profileThread(region.thread(t), sampledReuse_[t],
+                          bbvScratch_[t], profile.threads[t]);
     });
     return profile;
-}
-
-void
-RegionProfiler::profileThreadExact(const RegionTrace &region, uint64_t t,
-                                   ThreadProfile &thread_profile)
-{
-    ReuseDistanceCollector &reuse = reuse_[t];
-    MruTracker *mru = mru_.empty() ? nullptr : &mru_[t];
-    FlatMap<uint64_t> &bbv = bbvScratch_[t];
-    bbv.clear();
-
-    const std::vector<MicroOp> &ops = region.thread(t);
-    uint64_t lookahead_hash = 0;
-    size_t lookahead_index = SIZE_MAX;
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const MicroOp &op = ops[i];
-        ++thread_profile.instructions;
-        ++*bbv.insert(op.bb).first;
-        if (!op.isMem())
-            continue;
-        ++thread_profile.memOps;
-        const uint64_t line = lineOf(op.addr);
-        // One mix of the line shared by both probes (reusing the
-        // lookahead's hash when the previous iteration already
-        // computed it); the probes themselves are usually cache
-        // misses over footprint-sized tables, so start the MRU
-        // probe and the next access's probes now and let them
-        // overlap the reuse computation's Fenwick work.
-        const uint64_t hash = lookahead_index == i
-            ? lookahead_hash : flatHash(line);
-        if (mru)
-            mru->prefetch(hash);
-        if (i + 1 < ops.size() && ops[i + 1].isMem()) {
-            lookahead_hash = flatHash(lineOf(ops[i + 1].addr));
-            lookahead_index = i + 1;
-            reuse.prefetch(lookahead_hash);
-            if (mru)
-                mru->prefetch(lookahead_hash);
-        }
-        const uint64_t distance = reuse.access(line, hash);
-        if (distance == ReuseDistanceCollector::kCold) {
-            ++thread_profile.coldAccesses;
-            thread_profile.ldv.add(kColdDistanceMarker);
-        } else {
-            thread_profile.ldv.add(distance);
-        }
-        if (mru)
-            mru->access(line, op.kind == OpKind::Store, hash);
-    }
-
-    thread_profile.bbv.reserve(bbv.size());
-    bbv.forEach([&](uint64_t bb, uint64_t count) {
-        thread_profile.bbv.emplace(static_cast<uint32_t>(bb), count);
-    });
-}
-
-void
-RegionProfiler::profileThreadSampled(const RegionTrace &region, uint64_t t,
-                                     ThreadProfile &thread_profile)
-{
-    // Same structure as the exact loop; the reuse probe is replaced
-    // by the SHARDS filter-then-track collector and each admitted
-    // access lands in the LDV with its rate-correction weight, so the
-    // histogram approximates the exact path's mass. The sampling
-    // predicate depends only on the shared per-access hash, making
-    // the filter free and the output independent of thread count.
-    SampledReuseDistanceCollector &reuse = sampledReuse_[t];
-    MruTracker *mru = mru_.empty() ? nullptr : &mru_[t];
-    FlatMap<uint64_t> &bbv = bbvScratch_[t];
-    bbv.clear();
-
-    const std::vector<MicroOp> &ops = region.thread(t);
-    uint64_t lookahead_hash = 0;
-    size_t lookahead_index = SIZE_MAX;
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const MicroOp &op = ops[i];
-        ++thread_profile.instructions;
-        ++*bbv.insert(op.bb).first;
-        if (!op.isMem())
-            continue;
-        ++thread_profile.memOps;
-        const uint64_t line = lineOf(op.addr);
-        const uint64_t hash = lookahead_index == i
-            ? lookahead_hash : flatHash(line);
-        if (mru)
-            mru->prefetch(hash);
-        if (i + 1 < ops.size() && ops[i + 1].isMem()) {
-            lookahead_hash = flatHash(lineOf(ops[i + 1].addr));
-            lookahead_index = i + 1;
-            reuse.prefetch(lookahead_hash);
-            if (mru)
-                mru->prefetch(lookahead_hash);
-        }
-        const auto sample = reuse.access(line, hash);
-        if (sample.sampled()) {
-            if (sample.distance == SampledReuseDistanceCollector::kCold) {
-                thread_profile.coldAccesses += sample.weight;
-                thread_profile.ldv.add(kColdDistanceMarker,
-                                       sample.weight);
-            } else {
-                thread_profile.ldv.add(sample.distance, sample.weight);
-            }
-        }
-        if (mru)
-            mru->access(line, op.kind == OpKind::Store, hash);
-    }
-
-    thread_profile.bbv.reserve(bbv.size());
-    bbv.forEach([&](uint64_t bb, uint64_t count) {
-        thread_profile.bbv.emplace(static_cast<uint32_t>(bb), count);
-    });
 }
 
 uint64_t
@@ -276,17 +234,6 @@ RegionProfiler::trackedFootprint() const
     for (const auto &collector : sampledReuse_)
         total += collector.footprint();
     return total;
-}
-
-std::vector<std::vector<MruEntry>>
-RegionProfiler::mruSnapshot() const
-{
-    BP_ASSERT(!mru_.empty(), "MRU tracking was not enabled");
-    std::vector<std::vector<MruEntry>> snapshot;
-    snapshot.reserve(threads_);
-    for (const auto &tracker : mru_)
-        snapshot.push_back(tracker.snapshot());
-    return snapshot;
 }
 
 } // namespace bp

@@ -11,10 +11,10 @@
  * must be fed in order.
  *
  * The per-access hot path is allocation-free: the cache line is
- * hashed once (flatHash) and that hash is shared by the reuse and
- * MRU probes, BBV counts accumulate in a reusable FlatMap scratch
- * arena instead of allocating `unordered_map` nodes, and the reuse /
- * MRU structures themselves are flat (see their headers).
+ * hashed once (flatHash) and that hash serves the reuse probe and
+ * its lookahead prefetch, BBV counts accumulate in a reusable FlatMap
+ * scratch arena instead of allocating `unordered_map` nodes, and the
+ * reuse structures themselves are flat (see their headers).
  */
 
 #ifndef BP_PROFILE_REGION_PROFILER_H
@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/profile/mru_tracker.h"
 #include "src/profile/profiling_config.h"
 #include "src/profile/reuse_distance.h"
 #include "src/profile/sampled_reuse_distance.h"
@@ -88,19 +87,16 @@ class RegionProfiler
 {
   public:
     /**
-     * @param threads            thread count of the traces to come
-     * @param mru_capacity_lines per-core MRU capacity (0 disables
-     *                           MRU tracking entirely)
-     * @param profiling          reuse-distance collection mode; the
-     *                           default (exact) is byte-identical to
-     *                           the pre-knob profiler
+     * @param threads   thread count of the traces to come
+     * @param profiling reuse-distance collection mode; the default
+     *                  (exact) is byte-identical to the pre-knob
+     *                  profiler
      */
     explicit RegionProfiler(unsigned threads,
-                            uint64_t mru_capacity_lines = 0,
                             const ProfilingConfig &profiling = {});
 
     /**
-     * Profile one region and advance the persistent LRU/MRU state.
+     * Profile one region and advance the persistent LRU state.
      *
      * Regions must still arrive in execution order (the LRU stack is
      * a property of the whole run), but *within* a region every
@@ -110,13 +106,6 @@ class RegionProfiler
      */
     RegionProfile profileRegion(const RegionTrace &region,
                                 ThreadPool *pool = nullptr);
-
-    /**
-     * Per-core MRU snapshot reflecting all regions profiled so far —
-     * i.e. the warmup data for the *next* region. Requires MRU
-     * tracking to have been enabled.
-     */
-    std::vector<std::vector<MruEntry>> mruSnapshot() const;
 
     unsigned threadCount() const { return threads_; }
 
@@ -136,19 +125,10 @@ class RegionProfiler
     uint64_t trackedFootprint() const;
 
   private:
-    /** One thread's exact-mode profiling of one region. */
-    void profileThreadExact(const RegionTrace &region, uint64_t t,
-                            ThreadProfile &thread_profile);
-
-    /** One thread's SHARDS-sampled profiling of one region. */
-    void profileThreadSampled(const RegionTrace &region, uint64_t t,
-                              ThreadProfile &thread_profile);
-
     unsigned threads_;
     ProfilingConfig profiling_;
     std::vector<ReuseDistanceCollector> reuse_;
     std::vector<SampledReuseDistanceCollector> sampledReuse_;
-    std::vector<MruTracker> mru_;
     /** Per-thread BBV scratch, reused across regions (no allocation
      *  on the hot path once warm). */
     std::vector<FlatMap<uint64_t>> bbvScratch_;

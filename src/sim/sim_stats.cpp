@@ -61,7 +61,8 @@ RunResult::serialize(Serializer &s) const
 void
 RunResult::deserialize(Deserializer &d)
 {
-    regions.resize(d.size());
+    // u32 index, four 8-byte fields and ten MemStats counters.
+    regions.resize(d.size(4 + 4 * 8 + 10 * 8));
     for (RegionStats &region : regions)
         region.deserialize(d);
 }

@@ -1,5 +1,7 @@
 #include "src/support/parse_uint.h"
 
+#include <charconv>
+#include <cmath>
 #include <limits>
 
 namespace bp {
@@ -19,6 +21,18 @@ parseUint(const std::string &text)
             return std::nullopt;  // would overflow uint64_t
         value = value * 10 + digit;
     }
+    return value;
+}
+
+std::optional<double>
+parseReal(const std::string &text)
+{
+    const char *const first = text.data();
+    const char *const last = first + text.size();
+    double value = 0.0;
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error != std::errc() || end != last || !std::isfinite(value))
+        return std::nullopt;
     return value;
 }
 

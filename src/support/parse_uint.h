@@ -1,17 +1,18 @@
 /**
  * @file
- * parseUint: the one parser for plain decimal integers.
+ * parseUint and parseReal: the one parser each for plain decimal
+ * integers and for real numbers.
  *
- * Sibling of parseByteSize (support/byte_size.h) with the same
+ * Siblings of parseByteSize (support/byte_size.h) with the same
  * contract philosophy: the *whole* string must be a value, and every
- * way strtoull is permissive — leading whitespace, a sign ("-1"
- * silently becomes 2^64 - 1), trailing junk ("8x" parses as 8),
- * saturating overflow with errno out-of-band — is a parse failure
- * here. Anything in the tree that turns user text into an integer
- * (CLI options, config knobs) funnels through this function; the
- * repo linter (tools/lint/bp_lint.py) rejects raw strtoull / strtol /
- * atoi call sites outside src/support/ so the permissive class cannot
- * come back.
+ * way strtoull / strtod is permissive — leading whitespace, a sign
+ * ("-1" silently becomes 2^64 - 1), trailing junk ("8x" parses as 8),
+ * saturating overflow with errno out-of-band, "nan" and "inf" — is a
+ * parse failure here. Anything in the tree that turns user text into
+ * a number (CLI options, config knobs) funnels through these
+ * functions; the repo linter (tools/lint/bp_lint.py) rejects raw
+ * strtoull / strtol / atoi / strtod / atof call sites outside
+ * src/support/ so the permissive class cannot come back.
  */
 
 #ifndef BP_SUPPORT_PARSE_UINT_H
@@ -32,6 +33,16 @@ namespace bp {
  * elsewhere).
  */
 std::optional<uint64_t> parseUint(const std::string &text);
+
+/**
+ * Parse a finite decimal real number such as "0.25", "-1.5" or
+ * "2e-3". The whole string must be the number — no leading '+', no
+ * whitespace, no hexadecimal form, no trailing junk — and "nan",
+ * "inf" and values beyond double's range ("1e400") are rejected.
+ * @return nullopt on any violation; the caller owns the error message
+ * and any range check.
+ */
+std::optional<double> parseReal(const std::string &text);
 
 } // namespace bp
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace bp {
 
@@ -12,6 +13,11 @@ namespace {
 constexpr uint64_t kMagic = 0x544346'5452415042ull;
 
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
+
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
 
 void
 appendLe(std::vector<uint8_t> &out, uint64_t v, unsigned bytes)
@@ -142,7 +148,7 @@ Deserializer::boolean()
 std::string
 Deserializer::str()
 {
-    const size_t n = size();
+    const size_t n = size(1);
     const uint8_t *p = need(n);
     return std::string(reinterpret_cast<const char *>(p), n);
 }
@@ -232,22 +238,17 @@ writeArtifactFile(const std::string &path, uint32_t kind,
 Deserializer
 readArtifactFile(const std::string &path, uint32_t kind)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
+    const std::unique_ptr<std::FILE, FileCloser> file(
+        std::fopen(path.c_str(), "rb"));
+    std::FILE *f = file.get();
     if (!f)
         throw SerializeError("cannot open artifact '" + path + "'");
-    std::vector<uint8_t> bytes;
-    uint8_t chunk[65536];
-    size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + got);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        throw SerializeError("I/O error reading '" + path + "'");
-
-    if (bytes.size() < kHeaderBytes)
+    uint8_t h[kHeaderBytes];
+    if (std::fread(h, 1, sizeof(h), f) != sizeof(h)) {
+        if (std::ferror(f))
+            throw SerializeError("I/O error reading '" + path + "'");
         throw SerializeError("'" + path + "' is too short to be an artifact");
-    const uint8_t *h = bytes.data();
+    }
     if (loadLe(h, 8) != kMagic)
         throw SerializeError("'" + path + "' is not a BarrierPoint artifact");
     const uint32_t version = static_cast<uint32_t>(loadLe(h + 8, 4));
@@ -259,12 +260,23 @@ readArtifactFile(const std::string &path, uint32_t kind)
         throw SerializeError("'" + path + "': artifact kind " +
                              std::to_string(file_kind) + ", expected " +
                              std::to_string(kind));
+
+    // The length field must match the file before anything is
+    // allocated, so no header can ask for more memory than the file
+    // holds; the payload is then read once, into the buffer the
+    // Deserializer keeps.
+    const long file_size =
+        std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+    if (file_size < 0 || std::fseek(f, kHeaderBytes, SEEK_SET) != 0)
+        throw SerializeError("I/O error reading '" + path + "'");
     const uint64_t payload_size = loadLe(h + 16, 8);
-    if (payload_size != bytes.size() - kHeaderBytes)
+    if (payload_size != static_cast<uint64_t>(file_size) - kHeaderBytes)
         throw SerializeError("'" + path + "': payload length mismatch");
-    const uint64_t checksum = loadLe(h + 24, 8);
-    std::vector<uint8_t> payload(bytes.begin() + kHeaderBytes, bytes.end());
-    if (fnv1aHash(payload.data(), payload.size()) != checksum)
+    std::vector<uint8_t> payload(payload_size);
+    if (!payload.empty() &&
+        std::fread(payload.data(), 1, payload.size(), f) != payload.size())
+        throw SerializeError("I/O error reading '" + path + "'");
+    if (fnv1aHash(payload.data(), payload.size()) != loadLe(h + 24, 8))
         throw SerializeError("'" + path + "': payload checksum mismatch");
     return Deserializer(std::move(payload));
 }

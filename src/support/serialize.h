@@ -114,10 +114,11 @@ class Deserializer
 
     /**
      * Read an element count and sanity-check it against the bytes
-     * actually remaining (>= @p min_elem_bytes each), so a corrupted
-     * length cannot drive a huge allocation.
+     * actually remaining (>= @p min_elem_bytes each, the fewest bytes
+     * one element encodes to), so a corrupted length cannot drive an
+     * allocation larger than the payload itself.
      */
-    size_t size(size_t min_elem_bytes = 1);
+    size_t size(size_t min_elem_bytes);
 
     std::vector<unsigned> u32vec();
     std::vector<uint64_t> u64vec();

@@ -12,6 +12,8 @@
  * reproduces the paper's superlinear 8-to-32-core scaling (Figure 8).
  */
 
+#include <algorithm>
+
 #include "src/workloads/factories.h"
 #include "src/workloads/patterns.h"
 
@@ -81,9 +83,10 @@ NpbCg::generateRegion(unsigned index) const
             // Banded gather window centred on this thread's row block.
             const uint64_t x_lines = scaled(kX);
             const Range block = blockPartition(x_lines, threads, t);
-            const uint64_t width =
-                std::min<uint64_t>(x_lines,
-                                   (x_lines * 5) / (2 * threads));
+            // At least one line: at 1024 threads a small table's
+            // share rounds to zero.
+            const uint64_t width = std::clamp<uint64_t>(
+                (x_lines * 5) / (2 * threads), 1, x_lines);
             const uint64_t centre = (block.lo + block.hi) / 2;
             const uint64_t lo =
                 centre > width / 2 ? centre - width / 2 : 0;

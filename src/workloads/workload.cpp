@@ -1,6 +1,7 @@
 #include "src/workloads/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/support/core_set.h"
 #include "src/support/logging.h"
@@ -19,7 +20,8 @@ Workload::Workload(std::string name, const WorkloadParams &params)
     if (params_.threads < 1 || params_.threads > kMaxCores)
         fatal("thread count must be in [1, %u], got %u", kMaxCores,
               params_.threads);
-    BP_ASSERT(params_.scale > 0.0, "scale must be positive");
+    BP_ASSERT(params_.scale > 0.0 && std::isfinite(params_.scale),
+              "scale must be positive and finite");
     const uint64_t name_hash = fnv1aHash(
         reinterpret_cast<const uint8_t *>(name_.data()), name_.size());
     addressWindow_ = (name_hash & 0x3F) << 38;
@@ -28,9 +30,11 @@ Workload::Workload(std::string name, const WorkloadParams &params)
 uint64_t
 Workload::scaled(uint64_t count) const
 {
-    const auto value =
-        static_cast<uint64_t>(static_cast<double>(count) * params_.scale);
-    return std::max<uint64_t>(4, value);
+    // Clamped while still a double: converting a value of 2^64 or
+    // more to uint64_t is undefined.
+    const double value = std::min(
+        static_cast<double>(count) * params_.scale, 0x1p63);
+    return std::max<uint64_t>(4, static_cast<uint64_t>(value));
 }
 
 uint64_t

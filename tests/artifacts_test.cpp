@@ -36,9 +36,8 @@ class TempFile
     std::string path_;
 };
 
-/** FNV-1a of the whole file at @p path: framing and payload bytes. */
-uint64_t
-fileDigest(const std::string &path)
+std::vector<uint8_t>
+fileBytes(const std::string &path)
 {
     std::FILE *file = std::fopen(path.c_str(), "rb");
     EXPECT_NE(file, nullptr) << path;
@@ -49,6 +48,14 @@ fileDigest(const std::string &path)
         bytes.insert(bytes.end(), chunk, chunk + n);
     if (file)
         std::fclose(file);
+    return bytes;
+}
+
+/** FNV-1a of the whole file at @p path: framing and payload bytes. */
+uint64_t
+fileDigest(const std::string &path)
+{
+    const std::vector<uint8_t> bytes = fileBytes(path);
     return fnv1aHash(bytes.data(), bytes.size());
 }
 
@@ -460,6 +467,67 @@ TEST(ArtifactsTest, PayloadDigestsArePinned)
     moved.workload.seed += 1;
     saveArtifact(profile.path(), moved);
     EXPECT_EQ(artifactPayloadDigest(profile.path()), 0x81778be84d722206ull);
+}
+
+/**
+ * Rewrite the artifact at @p path, whose payload ends in an element
+ * count of zero, so that the count reads @p count and @p count zero
+ * bytes follow, with the header's length and checksum fixed up: a
+ * well-formed file whose count fits the bytes left at one byte per
+ * element.
+ */
+void
+inflateTrailingCount(const std::string &path, uint64_t count)
+{
+    constexpr size_t kHeaderBytes = 32;
+    std::vector<uint8_t> bytes = fileBytes(path);
+    ASSERT_GE(bytes.size(), kHeaderBytes + 8);
+    ASSERT_EQ(loadLe(bytes.data() + bytes.size() - 8, 8), 0u);
+    storeLe(bytes.data() + bytes.size() - 8, count, 8);
+    bytes.resize(bytes.size() + count, 0);
+    const uint8_t *payload = bytes.data() + kHeaderBytes;
+    const size_t payload_size = bytes.size() - kHeaderBytes;
+    storeLe(bytes.data() + 16, payload_size, 8);
+    storeLe(bytes.data() + 24, fnv1aHash(payload, payload_size), 8);
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+}
+
+template <typename Load>
+void
+expectCorruptCount(Load load)
+{
+    try {
+        load();
+        ADD_FAILURE() << "an inflated element count was accepted";
+    } catch (const SerializeError &error) {
+        EXPECT_NE(std::string(error.what()).find("corrupt element count"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(ArtifactsTest, ElementCountsAreCheckedAgainstTheirElementSize)
+{
+    // A count that fits the bytes left at one byte per element must
+    // still fail before its container is sized (a RegionProfile is 32
+    // bytes in memory): each count is checked against its element's
+    // smallest encoding.
+    TempFile profile("inflated_profile.bp");
+    ProfileArtifact no_profiles = fixedProfileArtifact();
+    no_profiles.profiles.clear();
+    saveArtifact(profile.path(), no_profiles);
+    inflateTrailingCount(profile.path(), 4096);
+    expectCorruptCount([&] { loadProfileArtifact(profile.path()); });
+
+    TempFile result("inflated_result.bp");
+    RunResultArtifact no_regions = fixedRunResultArtifact();
+    no_regions.result.regions.clear();
+    saveArtifact(result.path(), no_regions);
+    inflateTrailingCount(result.path(), 4096);
+    expectCorruptCount([&] { loadRunResultArtifact(result.path()); });
 }
 
 TEST(ArtifactsTest, PayloadDigestValidatesTheArtifact)

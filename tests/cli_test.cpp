@@ -150,6 +150,26 @@ TEST(CliTest, BadOptionValueIsAUsageError)
         runCli("profile --workload npb-is --jobs -1 -o /dev/null");
     EXPECT_EQ(jobs.exitCode, 2);
     EXPECT_NE(jobs.output.find("--jobs"), std::string::npos);
+
+    // Real knobs: "nan" used to pass the positivity check and panic in
+    // the workload, "inf" and "1e400" profiled a degenerate run, and
+    // a significance outside [0, 1] marked every barrierpoint or none.
+    for (const std::string scale : {"nan", "inf", "1e400"}) {
+        const RunResult result =
+            runCli("profile --workload npb-is --threads 2 --scale " +
+                   scale + " -o /dev/null");
+        EXPECT_EQ(result.exitCode, 2) << scale;
+        EXPECT_NE(result.output.find("--scale"), std::string::npos)
+            << scale;
+    }
+    for (const std::string significance : {"nan", "-0.5", "2"}) {
+        const RunResult result =
+            runCli("analyze --profile missing.bp --significance " +
+                   significance + " -o /dev/null");
+        EXPECT_EQ(result.exitCode, 2) << significance;
+        EXPECT_NE(result.output.find("--significance"), std::string::npos)
+            << significance;
+    }
 }
 
 TEST(CliTest, IntegerOptionsRejectEveryStrtoullLeniency)

@@ -5,15 +5,13 @@
  * `std::list` + `unordered_map` + `unordered_set` MRU tracker that
  * shipped before the FlatMap / intrusive-LRU hot-path rebuild.
  *
- * Two consumers share this single copy so the baseline cannot fork:
  * `tests/profile_identity_test.cpp` proves the shipped structures
- * bit-identical to these, and `bench/perf_profile.cpp` measures the
- * shipped structures against them. Do not "modernize" or fix this
- * code: it IS the measurement and the identity baseline.
+ * bit-identical to these. Do not "modernize" or fix this code: it IS
+ * the identity baseline.
  */
 
-#ifndef BP_BENCH_LEGACY_PROFILE_REFERENCE_H
-#define BP_BENCH_LEGACY_PROFILE_REFERENCE_H
+#ifndef BP_TESTS_LEGACY_PROFILE_REFERENCE_H
+#define BP_TESTS_LEGACY_PROFILE_REFERENCE_H
 
 #include <algorithm>
 #include <cstdint>
@@ -201,4 +199,4 @@ class LegacyReuseDistanceCollector
 
 } // namespace bp
 
-#endif // BP_BENCH_LEGACY_PROFILE_REFERENCE_H
+#endif // BP_TESTS_LEGACY_PROFILE_REFERENCE_H

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "src/memsys/mem_system.h"
 #include "src/support/rng.h"
 #include "src/trace/micro_op.h"
@@ -472,6 +474,42 @@ TEST(ManyCoreDirectoryTest, BackInvalidationAcrossManySockets)
     }
     EXPECT_EQ(m.l1State(1023, 500), LineState::Modified);
     EXPECT_GE(m.stats().invalidations, sockets);
+}
+
+TEST(ManyCoreDirectoryTest, DirectoryStaysBelowAFlatMaskPerLine)
+{
+    // The cost side of the two-level SharerSet: a flat CoreSet<1024>
+    // sharer mask in every DirEntry would charge 128 bytes per line
+    // to every machine, the 8-core one included. The same per-core
+    // recipe runs at every width: a widely shared read-mostly region
+    // (entries with many sharers) and a private band per core, so
+    // wider machines hold more lines and bytes/line isolates the
+    // per-entry cost (88.0, 98.6, 96.8 and 92.0 when this was set).
+    constexpr uint64_t kSharedLines = 4096;
+    constexpr uint64_t kPrivateLines = 512;
+    for (const unsigned cores : {8u, 64u, 256u, 1024u}) {
+        MemSystem m(configWide(cores));
+        Rng rng(0xD17F007);
+        for (unsigned core = 0; core < cores; ++core) {
+            for (uint64_t i = 0; i < kSharedLines / 4; ++i) {
+                const uint64_t line = rng.nextBounded(kSharedLines);
+                m.access(core, addrOfLine(line), rng.nextBounded(16) == 0,
+                         0.0);
+            }
+            for (uint64_t i = 0; i < kPrivateLines; ++i) {
+                const uint64_t line =
+                    (1u << 20) + uint64_t{core} * kPrivateLines + i;
+                m.access(core, addrOfLine(line), rng.nextBounded(4) == 0,
+                         0.0);
+            }
+        }
+        const MemSystem::DirFootprint footprint = m.dirFootprint();
+        std::printf("%u cores: %llu directory lines, %.1f bytes/line\n",
+                    cores, static_cast<unsigned long long>(footprint.lines),
+                    footprint.bytesPerLine);
+        EXPECT_GE(footprint.lines, cores * kPrivateLines) << cores;
+        EXPECT_LT(footprint.bytesPerLine, 128.0) << cores << " cores";
+    }
 }
 
 /** Coherence invariant sweep: random accesses from random cores. */

@@ -7,10 +7,10 @@
  * MRU snapshots feed clustering, selection and warmup, so any drift
  * silently re-selects barrierpoints. This suite drives the shipped
  * structures and the byte-exact pre-rewrite reference
- * implementations (bench/legacy_profile_reference.h, shared with the
- * perf_profile benchmark) with identical randomized traces — op by
- * op for the trackers, whole regions at thread counts 1/2/8 for
- * RegionProfiler — requiring exact equality everywhere.
+ * implementations (tests/legacy_profile_reference.h) with identical
+ * randomized traces — op by op for the trackers, whole regions at
+ * thread counts 1/2/8 for RegionProfiler — requiring exact equality
+ * everywhere.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bench/legacy_profile_reference.h"
+#include "tests/legacy_profile_reference.h"
 #include "src/profile/region_profiler.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
@@ -136,15 +136,7 @@ randomRegion(uint32_t index, unsigned threads, Rng &rng)
 /** The pre-rewrite profileRegion loop over the reference structures. */
 struct RefProfiler
 {
-    explicit RefProfiler(unsigned threads, uint64_t mru_capacity)
-    {
-        reuse.reserve(threads);
-        mru.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t) {
-            reuse.emplace_back();
-            mru.emplace_back(mru_capacity);
-        }
-    }
+    explicit RefProfiler(unsigned threads) : reuse(threads) {}
 
     RegionProfile
     profileRegion(const RegionTrace &region)
@@ -160,22 +152,19 @@ struct RefProfiler
                 if (!op.isMem())
                     continue;
                 ++tp.memOps;
-                const uint64_t line = lineOf(op.addr);
-                const uint64_t distance = reuse[t].access(line);
+                const uint64_t distance = reuse[t].access(lineOf(op.addr));
                 if (distance == LegacyReuseDistanceCollector::kCold) {
                     ++tp.coldAccesses;
                     tp.ldv.add(kColdDistanceMarker);
                 } else {
                     tp.ldv.add(distance);
                 }
-                mru[t].access(line, op.kind == OpKind::Store);
             }
         }
         return profile;
     }
 
     std::vector<LegacyReuseDistanceCollector> reuse;
-    std::vector<LegacyMruTracker> mru;
 };
 
 void
@@ -199,9 +188,8 @@ expectSameProfile(const RegionProfile &got, const RegionProfile &want)
 TEST(ProfileIdentityTest, ProfileRegionBitIdenticalToReference)
 {
     for (const unsigned threads : {1u, 2u, 8u}) {
-        const uint64_t mru_capacity = 512;
-        RegionProfiler dut(threads, mru_capacity);
-        RefProfiler ref(threads, mru_capacity);
+        RegionProfiler dut(threads);
+        RefProfiler ref(threads);
         // Parallel fan-out must not perturb anything either.
         ThreadPool pool(threads);
         Rng rng(31337 + threads);
@@ -212,14 +200,6 @@ TEST(ProfileIdentityTest, ProfileRegionBitIdenticalToReference)
                 : dut.profileRegion(trace, &pool);
             const RegionProfile want = ref.profileRegion(trace);
             expectSameProfile(got, want);
-
-            // MRU state must track identically *between* regions too
-            // (it is the warmup input for the next barrierpoint).
-            const auto snaps = dut.mruSnapshot();
-            ASSERT_EQ(snaps.size(), threads);
-            for (unsigned t = 0; t < threads; ++t)
-                expectSameSnapshot(snaps[t], ref.mru[t].snapshot(),
-                                   "inter-region");
         }
     }
 }

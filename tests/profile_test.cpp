@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/profile/mru_tracker.h"
 #include "src/profile/region_profiler.h"
 #include "src/support/rng.h"
 
@@ -294,19 +295,6 @@ TEST(RegionProfilerTest, PerThreadReuseIsIndependent)
     // Both threads see a cold access: stacks are per thread.
     EXPECT_EQ(profile.threads[0].coldAccesses, 1u);
     EXPECT_EQ(profile.threads[1].coldAccesses, 1u);
-}
-
-TEST(RegionProfilerTest, MruSnapshotRequiresEnabling)
-{
-    RegionProfiler with_mru(1, 1024);
-    RegionTrace trace(0, 1);
-    trace.thread(0).push_back(MicroOp::store(1, 128));
-    with_mru.profileRegion(trace);
-    const auto snap = with_mru.mruSnapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    ASSERT_EQ(snap[0].size(), 1u);
-    EXPECT_EQ(snap[0][0].line, 2u);
-    EXPECT_TRUE(snap[0][0].written);
 }
 
 } // namespace

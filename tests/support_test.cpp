@@ -13,6 +13,7 @@
 #include "src/support/byte_size.h"
 #include "src/support/fenwick.h"
 #include "src/support/histogram.h"
+#include "src/support/parse_uint.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
 
@@ -57,6 +58,29 @@ TEST(ByteSizeTest, RejectsEverythingElse)
     EXPECT_FALSE(parseByteSize("4M2"));
     EXPECT_FALSE(parseByteSize("0x10"));
     EXPECT_FALSE(parseByteSize("1.5M"));
+}
+
+// ------------------------------------------------------- real numbers
+
+TEST(ParseRealTest, ParsesFiniteDecimals)
+{
+    EXPECT_EQ(parseReal("0.25"), 0.25);
+    EXPECT_EQ(parseReal("1"), 1.0);
+    EXPECT_EQ(parseReal("-0.5"), -0.5);
+    EXPECT_EQ(parseReal("2e-3"), 2e-3);
+    EXPECT_EQ(parseReal("1E3"), 1000.0);
+    EXPECT_EQ(parseReal("1e300"), 1e300);
+}
+
+TEST(ParseRealTest, RejectsEverythingElse)
+{
+    // strtod reads all of these as numbers (or as a prefix of one):
+    // "nan" passes no range check, "1e400" saturates to infinity.
+    for (const char *bad :
+         {"", "nan", "NaN", "inf", "-inf", "infinity", "1e400", "-1e400",
+          "+1", " 1", "1 ", "1x", "0x10", "1,5", "--1", "e5", "."}) {
+        EXPECT_FALSE(parseReal(bad)) << "'" << bad << "'";
+    }
 }
 
 // ---------------------------------------------------------------- Rng

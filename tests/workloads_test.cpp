@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "src/support/core_set.h"
 #include "src/support/rng.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/registry.h"
@@ -205,6 +206,19 @@ TEST(RegistryTest, PaperBarrierCounts)
     EXPECT_EQ(makeWorkload("npb-sp", params)->regionCount(), 3601u);
     EXPECT_EQ(makeWorkload("parsec-bodytrack", params)->regionCount(),
               89u);
+}
+
+TEST(RegistryTest, NpbCgGeneratesEveryRegionAtTheCoreCeiling)
+{
+    // At 1024 threads a small gather table's per-thread window,
+    // x_lines * 5 / (2 * threads), rounds to zero lines; it must
+    // still hold one line instead of tripping emitGather's assert.
+    WorkloadParams params;
+    params.threads = kMaxCores;
+    params.scale = 0.002;
+    const auto workload = makeWorkload("npb-cg", params);
+    for (unsigned r = 0; r < workload->regionCount(); ++r)
+        EXPECT_GT(workload->generateRegion(r).totalOps(), 0u) << r;
 }
 
 /** Parameterized per-workload property tests (small scale). */

@@ -43,7 +43,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -203,12 +202,14 @@ class Args
         const std::string *value = find(key);
         if (!value)
             return fallback;
-        char *end = nullptr;
-        const double parsed = std::strtod(value->c_str(), &end);
-        if (end == value->c_str() || *end != '\0')
-            throw UsageError("option '" + key + "' wants a number, got '" +
-                             *value + "'");
-        return parsed;
+        // Strict like integer(): "nan", "inf" and "1e400" are usage
+        // errors, never a value the range checks cannot order.
+        const std::optional<double> parsed = parseReal(*value);
+        if (!parsed)
+            throw UsageError("option '" + key +
+                             "' wants a finite number, got '" + *value +
+                             "'");
+        return *parsed;
     }
 
     bool
@@ -269,18 +270,16 @@ parseProfilingConfig(const std::string &arg)
     const std::string value =
         colon == std::string::npos ? "" : arg.substr(colon + 1);
     if (mode == "sampled") {
-        char *end = nullptr;
-        const double rate =
-            value.empty() ? 0.0 : std::strtod(value.c_str(), &end);
-        if (value.empty() || end == value.c_str() || *end != '\0')
+        const std::optional<double> rate = parseReal(value);
+        if (!rate)
             throw UsageError("--profiling sampled wants a rate "
                              "(sampled:R), got '" +
                              arg + "'");
-        if (!(rate > 0.0 && rate <= 1.0))
+        if (!(*rate > 0.0 && *rate <= 1.0))
             throw UsageError(
                 "--profiling sampling rate must lie in (0, 1], got '" +
                 value + "'");
-        return ProfilingConfig::sampled(rate);
+        return ProfilingConfig::sampled(*rate);
     }
     if (mode == "sampled_adaptive" || mode == "adaptive") {
         const std::optional<uint64_t> parsed = parseUint(value);
@@ -455,6 +454,8 @@ analysisOptionsFromArgs(const Args &args)
         countFromArgs(args, "--max-k", options.clustering.maxK);
     options.significance =
         args.real("--significance", options.significance);
+    if (options.significance < 0.0 || options.significance > 1.0)
+        throw UsageError("--significance must lie in [0, 1]");
     return options;
 }
 

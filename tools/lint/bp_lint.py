@@ -14,11 +14,14 @@ once, so review never has to re-catch it:
                     Shifts by integer literals or by `k`-named
                     constexpr constants are allowed.
 
-  raw-parse         `strtoull` / `strtol` / `atoi` family outside
-                    src/support/: the permissive-parsing class (PR 9 —
-                    "8x" parses as 8, "-1" as 2^64-1). User text is
+  raw-parse         `strtoull` / `strtol` / `atoi` / `strtod` /
+                    `atof` family outside src/support/: the
+                    permissive-parsing class ("8x" parses as 8, "-1"
+                    as 2^64-1; "nan" and "1e400" read as numbers no
+                    range check can order). User text is
                     parsed by the strict full-consumption helpers
-                    parseUint / parseByteSize in src/support/ only.
+                    parseUint / parseReal / parseByteSize in
+                    src/support/ only.
 
   mutex-guard       A mutex member whose file never states what it
                     guards (no `BP_GUARDED_BY(member)` sibling): with
@@ -60,7 +63,7 @@ import subprocess
 import sys
 import tempfile
 
-SCAN_DIRS = ("src", "tools", "tests", "bench")
+SCAN_DIRS = ("src", "tools", "tests", "bench", "examples")
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
 # Files exempt per rule (paths relative to the repo root).
@@ -197,7 +200,7 @@ def check_shifts(rel_path, code):
 
 PARSE_RE = re.compile(
     r"\b(?:std\s*::\s*)?(strtoull|strtoul|strtol|strtoll|strtoumax|"
-    r"strtoimax|atoi|atol|atoll)\s*\(")
+    r"strtoimax|atoi|atol|atoll|strtod|strtof|strtold|atof)\s*\(")
 
 
 def check_raw_parse(rel_path, code):
@@ -208,8 +211,8 @@ def check_raw_parse(rel_path, code):
         findings.append(Finding(
             "raw-parse", rel_path, line_of(code, match.start()),
             f"raw {match.group(1)}() accepts signs, whitespace and "
-            "trailing junk; use parseUint()/parseByteSize() from "
-            "src/support/ instead"))
+            "trailing junk; use parseUint()/parseReal()/parseByteSize() "
+            "from src/support/ instead"))
     return findings
 
 
@@ -402,23 +405,28 @@ const char *example = "atoi(argv[1]) inside a string literal";
 #endif // BP_FIXTURE_CLEAN_H
 """
 
-VIOLATION_FIXTURES = {
+VIOLATION_FIXTURES = (
     # The digit-separated constant must not hide the rest of the file.
-    "shift-variable": """\
+    ("shift-variable", """\
 #pragma once
 constexpr unsigned long long kFixtureMagic = 0x5441'4350ull;
 unsigned long mask(unsigned n) { return 1ull << n; }
-""",
-    "one-codec": """\
+"""),
+    ("one-codec", """\
 #pragma once
 constexpr unsigned long long kFixtureBasis = 0xcbf29ce484222325ull;
-""",
-    "raw-parse": """\
+"""),
+    ("raw-parse", """\
 #pragma once
 #include <cstdlib>
 long parse(const char *s) { return std::strtol(s, nullptr, 10); }
-""",
-    "mutex-guard": """\
+"""),
+    ("raw-parse", """\
+#pragma once
+#include <cstdlib>
+double parse(const char *s) { return std::strtod(s, nullptr); }
+"""),
+    ("mutex-guard", """\
 #pragma once
 #include <mutex>
 struct Unguarded
@@ -426,11 +434,11 @@ struct Unguarded
     std::mutex mutex_;
     int state_ = 0;
 };
-""",
-    "header-guard": """\
+"""),
+    ("header-guard", """\
 struct NoGuard {};
-""",
-}
+"""),
+)
 
 ARTIFACT_VIOLATION_DIFF = """\
 --- a/src/core/artifacts.h
@@ -502,13 +510,13 @@ def run_self_test():
         expect(not lint_tree(tmp),
                "clean fixture produces no findings")
 
-        for rule, fixture in sorted(VIOLATION_FIXTURES.items()):
-            path = os.path.join(src_core, f"{rule}_fixture.h")
+        for i, (rule, fixture) in enumerate(VIOLATION_FIXTURES):
+            path = os.path.join(src_core, f"{rule}_{i}_fixture.h")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(fixture)
             found = [f for f in lint_tree(tmp) if f.rule == rule]
             expect(bool(found), f"rule '{rule}' fires on its seeded "
-                                "violation fixture")
+                                f"violation fixture {i}")
             os.remove(path)
 
     violated = check_artifact_version(ARTIFACT_VIOLATION_DIFF)
