@@ -409,21 +409,6 @@ Experiment::trySeedSnapshots(const MachineConfig &machine,
     return true;
 }
 
-void
-Experiment::seedSnapshots(const MachineConfig &machine,
-                          MruSnapshotSet snapshots)
-{
-    if (snapshots.size() != analysis().points.size())
-        fatal("seeded snapshot set holds %zu snapshots but the analysis "
-              "selects %zu barrierpoints",
-              snapshots.size(), analysis().points.size());
-    // Results simulated with a previously cached set for this
-    // capacity no longer describe what a fresh simulate() would do.
-    results_.clear();
-    snapshots_[snapshotKey(machine)] = std::move(snapshots);
-    seeded_ = true;
-}
-
 // -------------------------------------------------------------- exports
 
 void
@@ -463,32 +448,6 @@ Experiment::exportSnapshots(const MachineConfig &machine,
 
 // ----------------------------------------------------------- simulation
 
-const SimulationResult &
-Experiment::storeResult(const ResultKey &key, const MachineConfig &machine,
-                        WarmupPolicy policy,
-                        std::vector<RegionStats> stats)
-{
-    SimulationResult result;
-    result.machine = machine.name;
-    result.policy = policy;
-    result.estimate = reconstruct(analysis(), stats);
-    result.stats = std::move(stats);
-
-    const std::string path = resultPath(machine, policy);
-    if (!seeded_ && !path.empty()) {
-        ensureArtifactDir();
-        RunResultArtifact artifact;
-        artifact.workload = spec_;
-        artifact.machine = machine.name;
-        artifact.flavor =
-            std::string("barrierpoints-") + warmupPolicyName(policy);
-        artifact.optionsHash = optionsHash_;
-        artifact.result.regions = result.stats;
-        saveArtifact(path, artifact);
-    }
-    return results_[key] = std::move(result);
-}
-
 bool
 Experiment::tryLoadResult(const std::string &path, const ResultKey &key,
                           const MachineConfig &machine, WarmupPolicy policy)
@@ -516,39 +475,9 @@ Experiment::tryLoadResult(const std::string &path, const ResultKey &key,
     return true;
 }
 
-const SimulationResult &
-Experiment::simulate(const MachineConfig &machine, WarmupPolicy policy)
-{
-    requireMachineFits(machine);
-    const ResultKey key{machineKey(machine), static_cast<int>(policy)};
-    auto it = results_.find(key);
-    if (it != results_.end())
-        return it->second;
-    if (!seeded_ && tryLoadResult(resultPath(machine, policy), key,
-                                  machine, policy))
-        return results_.at(key);
-
-    const BarrierPointAnalysis &a = analysis();
-    std::vector<RegionStats> stats;
-    if (policy == WarmupPolicy::MruReplay) {
-        stats = simulateBarrierPoints(*workload_, machine, a,
-                                      snapshots(machine), exec_);
-    } else {
-        stats = simulateBarrierPoints(*workload_, machine, a, policy,
-                                      exec_);
-    }
-    return storeResult(key, machine, policy, std::move(stats));
-}
-
-const Estimate &
-Experiment::estimate(const MachineConfig &machine, WarmupPolicy policy)
-{
-    return simulate(machine, policy).estimate;
-}
-
-std::vector<SimulationResult>
-Experiment::sweep(const std::vector<MachineConfig> &machines,
-                  WarmupPolicy policy)
+void
+Experiment::simulateMachines(std::span<const MachineConfig> machines,
+                             WarmupPolicy policy)
 {
     struct Pending
     {
@@ -587,8 +516,8 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
         // One flat (machine x barrierpoint) fan-out on the shared
         // pool: every job runs the same simulateBarrierPoint() kernel
         // as simulateBarrierPoints() and writes only its own slot, so
-        // results are bit-identical to per-machine simulate() calls
-        // while short per-machine tails overlap.
+        // results are bit-identical to the free functions while short
+        // per-machine tails overlap.
         const size_t npoints = a.points.size();
         std::vector<RegionStats> flat(pending.size() * npoints);
         exec_.pool().parallelFor(
@@ -601,14 +530,50 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
             });
 
         for (size_t mi = 0; mi < pending.size(); ++mi) {
-            std::vector<RegionStats> stats(
+            const MachineConfig &machine = *pending[mi].machine;
+            SimulationResult result;
+            result.machine = machine.name;
+            result.policy = policy;
+            result.stats.assign(
                 std::make_move_iterator(flat.begin() + mi * npoints),
                 std::make_move_iterator(flat.begin() + (mi + 1) * npoints));
-            storeResult(pending[mi].key, *pending[mi].machine, policy,
-                        std::move(stats));
+            result.estimate = reconstruct(a, result.stats);
+
+            const std::string path = resultPath(machine, policy);
+            if (!seeded_ && !path.empty()) {
+                ensureArtifactDir();
+                RunResultArtifact artifact;
+                artifact.workload = spec_;
+                artifact.machine = machine.name;
+                artifact.flavor = std::string("barrierpoints-") +
+                                  warmupPolicyName(policy);
+                artifact.optionsHash = optionsHash_;
+                artifact.result.regions = result.stats;
+                saveArtifact(path, artifact);
+            }
+            results_[pending[mi].key] = std::move(result);
         }
     }
+}
 
+const SimulationResult &
+Experiment::simulate(const MachineConfig &machine, WarmupPolicy policy)
+{
+    simulateMachines({&machine, 1}, policy);
+    return results_.at({machineKey(machine), static_cast<int>(policy)});
+}
+
+const Estimate &
+Experiment::estimate(const MachineConfig &machine, WarmupPolicy policy)
+{
+    return simulate(machine, policy).estimate;
+}
+
+std::vector<SimulationResult>
+Experiment::sweep(const std::vector<MachineConfig> &machines,
+                  WarmupPolicy policy)
+{
+    simulateMachines(machines, policy);
     std::vector<SimulationResult> out;
     out.reserve(machines.size());
     for (const MachineConfig &machine : machines)

@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,8 +173,6 @@ class Experiment
      */
     void seedProfiles(std::vector<RegionProfile> profiles);
     void seedAnalysis(BarrierPointAnalysis analysis);
-    void seedSnapshots(const MachineConfig &machine,
-                       MruSnapshotSet snapshots);
 
     /**
      * Hydrate the snapshot stage for @p machine from a snapshot
@@ -242,11 +241,13 @@ class Experiment
                           const std::string &machine_key,
                           const MachineConfig &machine);
 
-    /** Wrap stats into a memoized, reconstructed SimulationResult. */
-    const SimulationResult &storeResult(const ResultKey &key,
-                                        const MachineConfig &machine,
-                                        WarmupPolicy policy,
-                                        std::vector<RegionStats> stats);
+    /**
+     * Memoize a result for every machine in @p machines, loading or
+     * simulating the missing ones in one (machine x barrierpoint)
+     * fan-out — the one scheduling path behind simulate() and sweep().
+     */
+    void simulateMachines(std::span<const MachineConfig> machines,
+                          WarmupPolicy policy);
 
     std::unique_ptr<Workload> owned_;
     const Workload *workload_ = nullptr;

@@ -225,15 +225,4 @@ RegionProfiler::trackedReuseAccesses() const
     return total;
 }
 
-uint64_t
-RegionProfiler::trackedFootprint() const
-{
-    uint64_t total = 0;
-    for (const auto &collector : reuse_)
-        total += collector.footprint();
-    for (const auto &collector : sampledReuse_)
-        total += collector.footprint();
-    return total;
-}
-
 } // namespace bp

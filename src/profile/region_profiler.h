@@ -121,9 +121,6 @@ class RegionProfiler
      */
     uint64_t trackedReuseAccesses() const;
 
-    /** @return aggregate distinct lines currently tracked. */
-    uint64_t trackedFootprint() const;
-
   private:
     unsigned threads_;
     ProfilingConfig profiling_;

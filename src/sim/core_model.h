@@ -66,8 +66,6 @@ class CoreModel
     /** Full reset (cold core), including predictor state. */
     void reset();
 
-    unsigned coreId() const { return coreId_; }
-
   private:
     unsigned coreId_;
     const MachineConfig &config_;

@@ -60,7 +60,6 @@ class MultiCoreSim
     /** Return the machine to a cold state. */
     void reset();
 
-    MemSystem &memSystem() { return mem_; }
     const MachineConfig &config() const { return config_; }
 
   private:

@@ -56,12 +56,6 @@ RunningStat::variance() const
 }
 
 double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
 arithmeticMean(const std::vector<double> &values)
 {
     if (values.empty())

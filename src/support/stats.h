@@ -27,7 +27,6 @@ class RunningStat
     double max() const;
     /** Sample variance (n-1 denominator); 0 with fewer than 2 samples. */
     double variance() const;
-    double stddev() const;
     double sum() const { return sum_; }
 
   private:

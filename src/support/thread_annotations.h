@@ -5,7 +5,7 @@
  * The repo's determinism contract (every stage bit-identical at any
  * thread count) rests on a locking discipline that code review alone
  * cannot guard. These macros make the discipline machine-checked:
- * under clang with `-Wthread-safety` (the CI `thread-safety` job
+ * under clang with `-Wthread-safety` (the `clang` CMake preset
  * builds the full tree with `-Werror=thread-safety`), a read of a
  * `BP_GUARDED_BY(mu)` member without holding `mu`, or a call to a
  * `BP_REQUIRES(mu)` method outside the lock, is a compile error.

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the `bp` CLI's invocation surface: --help output lists
- * the registered workload and machine names, and exit codes separate
- * usage errors (2) from runtime failures (1) and success (0).
+ * Tests for the `bp` CLI: --help output lists the registered workload
+ * and machine names, exit codes separate usage errors (2) from runtime
+ * failures (1) and success (0), and every subcommand's success path
+ * runs end to end through on-disk artifacts — the artifact chain with
+ * its snapshot cache, cold and warm sweeps, trace record/replay
+ * against the direct pipeline, and the pipeline at every width up to
+ * the 1024-core ceiling.
  *
- * The binary path is injected by CMake as BP_CLI_PATH; these tests
- * only exercise cheap paths (help and error handling), not full
- * pipeline runs — those live in the CI artifact-flow jobs.
+ * The binary path is injected by CMake as BP_CLI_PATH.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,10 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 
 #include <sys/wait.h>
@@ -44,6 +50,69 @@ runCli(const std::string &args)
     const int status = pclose(pipe);
     result.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return result;
+}
+
+/** Run the CLI with @p args, expecting success; @return its output. */
+std::string
+runOk(const std::string &args)
+{
+    const RunResult result = runCli(args);
+    EXPECT_EQ(result.exitCode, 0) << "bp " << args << "\n" << result.output;
+    return result.output;
+}
+
+/** A fresh directory under the test temp dir, removed on exit. */
+class ScratchDir
+{
+  public:
+    explicit ScratchDir(const std::string &name)
+        : path_(::testing::TempDir() + "cli_" + name)
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~ScratchDir() { std::filesystem::remove_all(path_); }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    /** Path of @p leaf inside the directory. */
+    std::string
+    operator/(const std::string &leaf) const
+    {
+        return path_ + "/" + leaf;
+    }
+
+  private:
+    std::string path_;
+};
+
+/** The bytes of @p path ("" when unreadable). */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/** Every file in @p dir, by name. */
+std::map<std::string, std::string>
+readDir(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files[entry.path().filename().string()] =
+            readFile(entry.path().string());
+    return files;
+}
+
+/** Files in @p dir whose names end in @p suffix. */
+size_t
+countFiles(const std::string &dir, const std::string &suffix)
+{
+    size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        n += entry.path().string().ends_with(suffix);
+    return n;
 }
 
 TEST(CliTest, HelpExitsZeroAndListsWorkloadsAndMachines)
@@ -374,6 +443,175 @@ TEST(CliTest, RuntimeFailuresExitOne)
     EXPECT_NE(foreign.output.find("not a BarrierPoint artifact"),
               std::string::npos)
         << foreign.output;
+
+    // Any other exception is one too, never an abort (exit 134): an
+    // absurd scale throws std::length_error from vector::reserve.
+    const RunResult huge = runCli(
+        "profile --workload npb-is --threads 2 --scale 1e300 -o /dev/null");
+    EXPECT_EQ(huge.exitCode, 1) << huge.output;
+    EXPECT_NE(huge.output.find("fatal"), std::string::npos);
+}
+
+TEST(CliTest, ArtifactFlowChainsEveryStageThroughFiles)
+{
+    const ScratchDir dir("artifact_flow");
+    const std::string analysis = dir / "is.analysis.bp";
+    const std::string result = dir / "is.4c.result.bp";
+    runOk("profile --workload npb-is --threads 4 --scale 0.25 -o " +
+          (dir / "is.profile.bp"));
+    runOk("analyze --profile " + (dir / "is.profile.bp") + " -o " +
+          analysis);
+
+    // Two machines from the same analysis; the 4-core run captures a
+    // snapshot cache that a re-run reloads bit-identically.
+    const std::string simulate4 = "simulate --analysis " + analysis +
+                                  " --machine 4-core --snapshots " +
+                                  (dir / "is.4c.snaps.bp") + " -o ";
+    runOk(simulate4 + result);
+    runOk("simulate --analysis " + analysis + " --machine 8-core -o " +
+          (dir / "is.8c.result.bp"));
+    runOk(simulate4 + (dir / "is.4c.result2.bp"));
+    EXPECT_FALSE(readFile(result).empty());
+    EXPECT_TRUE(readFile(result) == readFile(dir / "is.4c.result2.bp"));
+
+    runOk("reference --analysis " + analysis + " --machine 4-core -o " +
+          (dir / "is.4c.reference.bp"));
+    const std::string report =
+        runOk("report --analysis " + analysis + " --result " + result +
+              " --reference " + (dir / "is.4c.reference.bp"));
+    EXPECT_NE(report.find("reconstruction error"), std::string::npos)
+        << report;
+
+    // A truncated artifact is rejected...
+    std::ofstream(dir / "truncated.bp", std::ios::binary)
+        << readFile(analysis).substr(0, 100);
+    EXPECT_EQ(runCli("report --analysis " + (dir / "truncated.bp") +
+                     " --result " + result)
+                  .exitCode,
+              1);
+
+    // ...and so is a machine narrower than the profile, with advice.
+    const RunResult narrow =
+        runCli("simulate --analysis " + analysis + " --machine 2-core -o " +
+               (dir / "is.2c.result.bp"));
+    EXPECT_EQ(narrow.exitCode, 1);
+    EXPECT_NE(narrow.output.find("pick a machine"), std::string::npos)
+        << narrow.output;
+}
+
+TEST(CliTest, SweepReloadsItsArtifactCacheBitIdentically)
+{
+    const ScratchDir dir("sweep");
+    const std::string sweep =
+        "sweep --workload npb-is --threads 4 --scale 0.25 "
+        "--machines 4-core,8-core,16-core --reference yes --artifacts " +
+        (dir / "cache");
+    const std::string cold = runOk(sweep);
+    const std::map<std::string, std::string> cold_files =
+        readDir(dir / "cache");
+    // Every stage is cached: profile, analysis, two snapshot sets (4-
+    // and 8-core share the single-socket capture capacity; 16-core is
+    // two sockets), three results and three references.
+    EXPECT_EQ(cold_files.size(), 10u);
+
+    EXPECT_EQ(runOk(sweep), cold);
+    EXPECT_TRUE(readDir(dir / "cache") == cold_files)
+        << "the warm sweep changed or added an artifact";
+
+    // A streaming sweep writes its analysis but never a profile.
+    runOk("sweep --workload npb-is --threads 4 --scale 0.25 "
+          "--machines 4-core --streaming yes --memory-budget 64M "
+          "--artifacts " +
+          (dir / "streaming"));
+    EXPECT_EQ(countFiles(dir / "streaming", ".analysis.bp"), 1u);
+    EXPECT_EQ(countFiles(dir / "streaming", ".profile.bp"), 0u);
+}
+
+TEST(CliTest, TraceReplayMatchesTheDirectPipeline)
+{
+    const ScratchDir dir("trace_replay");
+    // Stage payloads are compared through `bp digest`, which excludes
+    // the embedded workload spec: the one field that legitimately
+    // differs between a generated and a replayed run.
+    const auto digest = [](const std::string &artifact) {
+        return runOk("digest --artifact " + artifact).substr(0, 16);
+    };
+    // The report without its first line, which names the workload.
+    const auto report = [&](const std::string &stem) {
+        const std::string out =
+            runOk("report --analysis " + (dir / stem) + ".analysis.bp" +
+                  " --result " + (dir / stem) + ".result.bp");
+        return out.substr(out.find('\n') + 1);
+    };
+    for (const std::string workload : {"npb-is", "npb-ft"}) {
+        for (const std::string threads : {"2", "4"}) {
+            SCOPED_TRACE(workload + " at " + threads + " threads");
+            const std::string trace =
+                dir / (workload + "." + threads + ".bptrace");
+            runOk("record --workload " + workload + " --threads " +
+                  threads + " --scale 0.25 -o " + trace);
+            runOk("ingest --trace " + trace + " --verify yes");
+
+            // The pipeline from the generator, and from the recording
+            // on eight workers.
+            const auto pipeline = [&](const std::string &stem,
+                                      const std::string &source,
+                                      const std::string &jobs) {
+                const std::string out = dir / stem;
+                runOk("profile " + source + jobs + " -o " + out +
+                      ".profile.bp");
+                runOk("analyze --profile " + out + ".profile.bp" + jobs +
+                      " -o " + out + ".analysis.bp");
+                runOk("simulate --analysis " + out + ".analysis.bp" +
+                      " --machine " + threads + "-core" + jobs + " -o " +
+                      out + ".result.bp");
+            };
+            pipeline("direct",
+                     "--workload " + workload + " --threads " + threads +
+                         " --scale 0.25",
+                     "");
+            pipeline("replay", "--workload trace:" + trace, " --jobs 8");
+            for (const std::string stage : {"profile", "analysis", "result"})
+                EXPECT_EQ(digest(dir / ("direct." + stage + ".bp")),
+                          digest(dir / ("replay." + stage + ".bp")))
+                    << stage;
+            EXPECT_EQ(report("direct"), report("replay"));
+        }
+    }
+
+    // Sampled profiling and streaming analysis run over a trace too.
+    runOk("sweep --workload trace:" + (dir / "npb-is.4.bptrace") +
+          " --machines 4-core --profiling sampled_adaptive:4096 "
+          "--streaming yes --memory-budget 64M --artifacts " +
+          (dir / "cache"));
+    EXPECT_EQ(countFiles(dir / "cache", ".analysis.bp"), 1u);
+}
+
+TEST(CliTest, PipelineRunsAtEveryWidthUpToTheCoreCeiling)
+{
+    // One profile per width, since simulate runs the profiled thread
+    // count: every coherence-directory and capture-holder tier runs
+    // end to end, including the snapshot cache (under UBSan, any
+    // out-of-width mask shift fails the run).
+    const ScratchDir dir("widths");
+    for (const unsigned n : {8u, 16u, 32u, 48u, 64u, 128u, 256u, 512u,
+                             1024u}) {
+        SCOPED_TRACE(std::to_string(n) + " threads");
+        const std::string width = std::to_string(n);
+        const std::string stem = dir / ("is" + width);
+        const std::string machine = " --machine " + width + "-core";
+        runOk("profile --workload npb-is --threads " + width +
+              " --scale 0.1 -o " + stem + ".profile.bp");
+        runOk("analyze --profile " + stem + ".profile.bp -o " + stem +
+              ".analysis.bp");
+        runOk("simulate --analysis " + stem + ".analysis.bp" + machine +
+              " --snapshots " + stem + ".snaps.bp -o " + stem +
+              ".result.bp");
+        runOk("reference --analysis " + stem + ".analysis.bp" + machine +
+              " -o " + stem + ".reference.bp");
+        runOk("report --analysis " + stem + ".analysis.bp --result " +
+              stem + ".result.bp --reference " + stem + ".reference.bp");
+    }
 }
 
 } // namespace

@@ -475,15 +475,6 @@ TEST(ExperimentDeathTest, SeedingMismatchedStagesIsFatal)
             experiment.seedAnalysis(analysis);
         },
         ::testing::ExitedWithCode(1), "seeded analysis");
-    EXPECT_EXIT(
-        {
-            // Even on a fresh session (no stage computed yet), a
-            // mismatched snapshot seed must die at the seed site.
-            Experiment experiment(spec);
-            experiment.seedSnapshots(MachineConfig::withCores(2),
-                                     MruSnapshotSet(999));
-        },
-        ::testing::ExitedWithCode(1), "seeded snapshot set");
 }
 
 TEST(ExperimentDeathTest, UndersizedMachineIsFatal)

@@ -3,17 +3,23 @@
  * Tests for the streaming bounded-memory analysis: signature spill
  * round-trips, mini-batch k-means invariants, sink delivery order,
  * the thread-count and spill-vs-in-memory bit-identity contracts,
- * Experiment integration, and the streaming-vs-batch accuracy bound
- * on every registered workload.
+ * Experiment integration, the streaming-vs-batch accuracy bound on
+ * every registered workload, and the memory wall: under a 256 MB
+ * address-space limit, streaming finishes 150k regions that batch
+ * cannot hold.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "src/core/barrierpoint.h"
 #include "src/core/streaming.h"
@@ -495,6 +501,150 @@ TEST(StreamingExperimentTest, BatchAndStreamingArtifactsCoexist)
     Experiment batch_again(streamSpec(), batch_config);
     expectAnalysisBitEqual(batch_again.analysis(), batch_analysis);
     std::filesystem::remove_all(dir);
+}
+
+// ----------------------------------------------------------- memory wall
+
+/**
+ * A many-region workload that any machine can hold: each region is a
+ * few hundred ops regenerated on demand, with a handful of phase
+ * archetypes (distinct BBV/LDV shapes) so the clustering has real
+ * structure to find. Region traces are tiny by design — the memory
+ * under test is the analysis pipeline's, not the workload's.
+ */
+class StressWorkload : public Workload
+{
+  public:
+    StressWorkload(const WorkloadParams &params, unsigned regions)
+        : Workload("stress-stream", params), regions_(regions)
+    {}
+
+    unsigned regionCount() const override { return regions_; }
+
+    RegionTrace
+    generateRegion(unsigned index) const override
+    {
+        const unsigned threads = threadCount();
+        RegionTrace trace(index, threads);
+        // Slow phase rotation + a short-period detail pattern: a few
+        // dominant clusters with intra-phase variation.
+        const unsigned phase = (index / 1024) % 5;
+        const unsigned detail = index % 7;
+        for (unsigned t = 0; t < threads; ++t) {
+            Rng rng = Rng::forTask(params().seed,
+                                   uint64_t{index} * threads + t);
+            auto &ops = trace.thread(t);
+            const unsigned n = 48 + phase * 24 + detail * 4;
+            ops.reserve(n);
+            const uint64_t base =
+                arrayBase(t) + (uint64_t{phase} << 16);
+            for (unsigned i = 0; i < n; ++i) {
+                const uint32_t bb = phase * 16 + i % (8 + detail);
+                switch (rng.nextBounded(4)) {
+                  case 0:
+                    ops.push_back(MicroOp::alu(bb));
+                    break;
+                  case 1:  // hot per-phase set: short reuse distances
+                    ops.push_back(MicroOp::load(
+                        bb, base + rng.nextBounded(64) * 64));
+                    break;
+                  default: {  // phase working set, read/write mix
+                    const uint64_t addr =
+                        base + (1ull << 14) +
+                        rng.nextBounded(unsigned{1} << (12 + phase)) * 64;
+                    ops.push_back(rng.nextBounded(3) == 0
+                                      ? MicroOp::store(bb, addr)
+                                      : MicroOp::load(bb, addr));
+                    break;
+                  }
+                }
+            }
+        }
+        return trace;
+    }
+
+  private:
+    unsigned regions_;
+};
+
+/** Hard-cap this process's address space, like `ulimit -v`. */
+void
+limitAddressSpace(uint64_t bytes)
+{
+    const struct rlimit limit = {bytes, bytes};
+    if (setrlimit(RLIMIT_AS, &limit) != 0) {
+        std::perror("setrlimit");
+        std::_Exit(3);
+    }
+}
+
+/** Peak resident-set size of this process so far, in bytes. */
+uint64_t
+peakRssBytes()
+{
+    struct rusage usage {};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<uint64_t>(usage.ru_maxrss) * 1024;  // KB on Linux
+}
+
+TEST(StreamingMemoryWallTest, StreamingFitsWhereBatchCannot)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtime reserves terabytes of "
+                    "address space";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    GTEST_SKIP() << "the sanitizer runtime reserves terabytes of "
+                    "address space";
+#endif
+#endif
+    // Each child re-executes this binary, so the limit and the peak
+    // RSS cover one analysis in a fresh process, not the suite so far.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    constexpr unsigned kRegions = 150000;
+    constexpr uint64_t kAddressSpace = 256ull << 20;
+    WorkloadParams params;
+    params.threads = 2;
+    const StressWorkload workload(params, kRegions);
+    const BarrierPointOptions options;
+
+    // Streaming at a 16 MB budget spills its points and stays far
+    // below the limit...
+    EXPECT_EXIT(
+        {
+            limitAddressSpace(kAddressSpace);
+            StreamingConfig config;
+            config.enabled = true;
+            config.memoryBudgetBytes = 16ull << 20;
+            StreamingAnalyzer analyzer(kRegions, options, config);
+            profileWorkloadToSink(workload, options.profiling, analyzer);
+            const BarrierPointAnalysis analysis = analyzer.finish();
+            const uint64_t rss = peakRssBytes();
+            std::fprintf(stderr, "k=%u, %s, peak RSS %.1f MB\n",
+                         analysis.chosenK,
+                         analyzer.spillsToDisk() ? "spilled" : "in memory",
+                         rss / 1048576.0);
+            std::_Exit(analyzer.spillsToDisk() && rss < (128ull << 20)
+                           ? 0
+                           : 1);
+        },
+        ::testing::ExitedWithCode(0), "spilled");
+
+    // ...while batch, holding every profile and signature, runs out
+    // of address space at the same region count.
+    EXPECT_EXIT(
+        {
+            limitAddressSpace(kAddressSpace);
+            try {
+                analyzeWorkload(workload, options);
+            } catch (const std::bad_alloc &) {
+                std::fputs("batch: std::bad_alloc\n", stderr);
+                std::_Exit(0);
+            }
+            std::fputs("batch fit under the limit\n", stderr);
+            std::_Exit(1);
+        },
+        ::testing::ExitedWithCode(0), "bad_alloc");
 }
 
 } // namespace

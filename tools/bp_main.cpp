@@ -37,7 +37,8 @@
  *   bp digest    --artifact cg.profile.bp
  *
  * Exit codes: 0 success, 1 runtime failure (unreadable or mismatched
- * artifacts, corrupt traces, simulation errors), 2 usage error
+ * artifacts, corrupt traces, simulation errors, any other exception
+ * such as exhausted memory), 2 usage error
  * (unknown command or option, bad value, unknown workload/machine
  * name, missing trace file).
  */
@@ -861,7 +862,7 @@ bpMain(int argc, char **argv)
     } catch (const UsageError &error) {
         std::fprintf(stderr, "bp: %s\n(try 'bp --help')\n", error.what());
         return 2;
-    } catch (const SerializeError &error) {
+    } catch (const std::exception &error) {
         fatal("%s", error.what());
     }
 }
