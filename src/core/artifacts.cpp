@@ -5,6 +5,7 @@
 
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
+#include "src/trace/micro_op.h"
 #include "src/workloads/registry.h"
 
 namespace bp {
@@ -45,6 +46,10 @@ deserializeMruEntry(Deserializer &d)
 {
     MruEntry entry;
     entry.line = d.u64();
+    // Every line an address maps to is below 2^58; a larger one would
+    // alias the simulator's empty-way cache tag.
+    if (entry.line > lineOf(~uint64_t{0}))
+        throw SerializeError("MRU line beyond the address space");
     entry.written = d.boolean();
     entry.llcDirty = d.boolean();
     return entry;

@@ -1,5 +1,6 @@
 #include "src/memsys/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/support/logging.h"
@@ -23,7 +24,9 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
     : geometry_(geometry),
       numSets_(geometry.numSets()),
       assoc_(geometry.assoc),
-      ways_(numSets_ * geometry.assoc),
+      tags_(numSets_ * geometry.assoc, kNoLine),
+      lru_(numSets_ * geometry.assoc, 0),
+      states_(numSets_ * geometry.assoc, LineState::Invalid),
       clock_(numSets_, 0)
 {
     BP_ASSERT(numSets_ > 0 && std::has_single_bit(numSets_),
@@ -31,90 +34,60 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
     BP_ASSERT(assoc_ > 0, "associativity must be positive");
 }
 
-size_t
-SetAssocCache::setBase(uint64_t line) const
-{
-    return static_cast<size_t>(line & (numSets_ - 1)) * assoc_;
-}
-
-int
-SetAssocCache::lookup(uint64_t line) const
-{
-    const size_t base = setBase(line);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        const Way &way = ways_[base + w];
-        if (way.state != LineState::Invalid && way.tag == line)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-void
-SetAssocCache::touch(uint64_t line, int way)
-{
-    const size_t base = setBase(line);
-    const size_t set = base / assoc_;
-    ways_[base + way].lru = ++clock_[set];
-}
-
 LineState
 SetAssocCache::state(uint64_t line) const
 {
     const int way = lookup(line);
-    if (way < 0)
-        return LineState::Invalid;
-    return ways_[setBase(line) + way].state;
-}
-
-void
-SetAssocCache::setState(uint64_t line, LineState state)
-{
-    const int way = lookup(line);
-    BP_ASSERT(way >= 0, "setState on a non-resident line");
-    ways_[setBase(line) + way].state = state;
+    return way < 0 ? LineState::Invalid : state(line, way);
 }
 
 std::optional<Eviction>
 SetAssocCache::insert(uint64_t line, LineState state)
 {
-    const size_t base = setBase(line);
-    const size_t set = base / assoc_;
+    BP_ASSERT(line != kNoLine, "the empty-way sentinel is not a line");
+    const size_t set = setOf(line);
+    const size_t base = set * assoc_;
+    const uint64_t *tags = &tags_[base];
 
-    // Re-insert over an existing copy if present, merging states: a
-    // resident Modified line stays Modified even when the new copy
-    // arrives Shared, so re-insertion can never silently drop
-    // dirtiness without a writeback.
-    int victim = lookup(line);
-    std::optional<Eviction> evicted;
-
-    if (victim >= 0) {
-        if (ways_[base + victim].state == LineState::Modified)
-            state = LineState::Modified;
-    } else {
-        // Prefer an invalid way; otherwise evict true-LRU.
-        uint32_t best_lru = UINT32_MAX;
-        for (unsigned w = 0; w < assoc_; ++w) {
-            const Way &way = ways_[base + w];
-            if (way.state == LineState::Invalid) {
-                victim = static_cast<int>(w);
-                break;
-            }
-            if (way.lru < best_lru) {
-                best_lru = way.lru;
-                victim = static_cast<int>(w);
-            }
+    // One pass finds a resident copy, else the first empty way, else
+    // the true-LRU way (the first one with the oldest stamp).
+    int hit = -1;
+    int empty = -1;
+    int oldest = 0;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (tags[w] == line) {
+            hit = static_cast<int>(w);
+            break;
         }
-        Way &way = ways_[base + victim];
-        if (way.state != LineState::Invalid) {
-            evicted = Eviction{way.tag,
-                               way.state == LineState::Modified};
+        if (tags[w] == kNoLine) {
+            if (empty < 0)
+                empty = static_cast<int>(w);
+        } else if (lru_[base + w] < lru_[base + oldest]) {
+            oldest = static_cast<int>(w);
         }
     }
 
-    Way &way = ways_[base + victim];
-    way.tag = line;
-    way.state = state;
-    way.lru = ++clock_[set];
+    std::optional<Eviction> evicted;
+    int victim;
+    if (hit >= 0) {
+        // Re-insert over the resident copy, merging states: a
+        // resident Modified line stays Modified even when the new copy
+        // arrives Shared, so re-insertion can never silently drop
+        // dirtiness without a writeback.
+        victim = hit;
+        if (states_[base + victim] == LineState::Modified)
+            state = LineState::Modified;
+    } else if (empty >= 0) {
+        victim = empty;
+    } else {
+        victim = oldest;
+        evicted = Eviction{tags[victim],
+                           states_[base + victim] == LineState::Modified};
+    }
+
+    tags_[base + victim] = line;
+    states_[base + victim] = state;
+    lru_[base + victim] = ++clock_[set];
     return evicted;
 }
 
@@ -124,30 +97,27 @@ SetAssocCache::invalidate(uint64_t line)
     const int way = lookup(line);
     if (way < 0)
         return LineState::Invalid;
-    Way &entry = ways_[setBase(line) + way];
-    const LineState prior = entry.state;
-    entry.state = LineState::Invalid;
+    const size_t slot = setBase(line) + way;
+    const LineState prior = states_[slot];
+    tags_[slot] = kNoLine;
+    states_[slot] = LineState::Invalid;
     return prior;
 }
 
 void
 SetAssocCache::reset()
 {
-    for (auto &way : ways_)
-        way = Way();
-    for (auto &c : clock_)
-        c = 0;
+    std::fill(tags_.begin(), tags_.end(), kNoLine);
+    std::fill(lru_.begin(), lru_.end(), 0);
+    std::fill(states_.begin(), states_.end(), LineState::Invalid);
+    std::fill(clock_.begin(), clock_.end(), 0);
 }
 
 uint64_t
 SetAssocCache::occupancy() const
 {
-    uint64_t count = 0;
-    for (const auto &way : ways_) {
-        if (way.state != LineState::Invalid)
-            ++count;
-    }
-    return count;
+    return static_cast<uint64_t>(
+        tags_.size() - std::count(tags_.begin(), tags_.end(), kNoLine));
 }
 
 } // namespace bp

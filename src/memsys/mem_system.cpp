@@ -1,6 +1,7 @@
 #include "src/memsys/mem_system.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
@@ -69,7 +70,7 @@ MemStats::deserialize(Deserializer &d)
 }
 
 MemSystem::MemSystem(const MemSystemConfig &config)
-    : config_(config)
+    : config_(config), dir_(NarrowDirectory(config.coresPerSocket))
 {
     if (config_.numCores < 1 || config_.numCores > kMaxCores)
         fatal("core count must be in [1, %u], got %u", kMaxCores,
@@ -90,6 +91,11 @@ MemSystem::MemSystem(const MemSystemConfig &config)
               "use at least %u cores per socket",
               config_.numSockets(), kMaxSockets,
               (config_.numCores + kMaxSockets - 1) / kMaxSockets);
+    // dir_ starts on the narrow tier; a machine too wide for its
+    // record moves to the wide one.
+    if (config_.numCores > NarrowDirectory::kCoreLimit ||
+        config_.numSockets() > NarrowDirectory::kSocketLimit)
+        dir_.emplace<WideDirectory>(config_.coresPerSocket);
     for (unsigned c = 0; c < config_.numCores; ++c) {
         l1d_.emplace_back(config_.l1d);
         l2_.emplace_back(config_.l2);
@@ -106,27 +112,13 @@ MemSystem::socketOf(unsigned core) const
     return core / config_.coresPerSocket;
 }
 
-MemSystem::DirEntry &
-MemSystem::dirEntry(uint64_t line)
+size_t
+MemSystem::WideDirectory::bytes() const
 {
-    return dir_[line];
-}
-
-MemSystem::DirEntry *
-MemSystem::findDir(uint64_t line)
-{
-    auto it = dir_.find(line);
-    return it == dir_.end() ? nullptr : &it->second;
-}
-
-void
-MemSystem::maybeEraseDir(uint64_t line)
-{
-    auto it = dir_.find(line);
-    if (it != dir_.end() && it->second.cores.empty() &&
-        it->second.sockets.none() && it->second.owner < 0) {
-        dir_.erase(it);
-    }
+    size_t total = map_.size() * sizeof(std::pair<const uint64_t, Entry>);
+    for (const auto &[line, entry] : map_)
+        total += entry.cores.heapBytes();
+    return total;
 }
 
 double
@@ -159,68 +151,57 @@ MemSystem::invalidateCore(unsigned core, uint64_t line)
     return dirty_l1 || dirty_l2;
 }
 
+template <typename Dir>
 void
-MemSystem::downgradeOwner(unsigned owner, uint64_t line, double now)
+MemSystem::downgradeOwner(Dir &dir, unsigned owner, uint64_t line, double now)
 {
-    if (l1d_[owner].contains(line))
-        l1d_[owner].setState(line, LineState::Shared);
-    if (l2_[owner].contains(line))
-        l2_[owner].setState(line, LineState::Shared);
+    const int way1 = l1d_[owner].lookup(line);
+    if (way1 >= 0)
+        l1d_[owner].setState(line, way1, LineState::Shared);
+    const int way2 = l2_[owner].lookup(line);
+    if (way2 >= 0)
+        l2_[owner].setState(line, way2, LineState::Shared);
     // The dirty data moves into the owner socket's L3 (cache-to-cache
     // forwarding); it reaches memory only on eventual L3 eviction.
-    const unsigned owner_socket = socketOf(owner);
-    if (l3_[owner_socket].contains(line))
-        l3_[owner_socket].setState(line, LineState::Modified);
+    SetAssocCache &l3 = l3_[socketOf(owner)];
+    const int way3 = l3.lookup(line);
+    if (way3 >= 0)
+        l3.setState(line, way3, LineState::Modified);
     else
         dramAccess(owner, now, false);
-    DirEntry *entry = findDir(line);
-    if (entry)
+    if (auto *entry = dir.find(line))
         entry->owner = -1;
 }
 
+template <typename Dir>
 bool
-MemSystem::invalidateSharers(unsigned requester, uint64_t line, double now)
+MemSystem::invalidateSharers(Dir &dir, unsigned requester, uint64_t line,
+                             double now)
 {
-    DirEntry *entry = findDir(line);
+    auto *entry = dir.find(line);
     if (!entry)
         return false;
 
     const unsigned my_socket = socketOf(requester);
     bool remote = false;
 
-    // Level-1 walk: only sockets that actually hold the line. Within
-    // each socket the exact shard word is walked low bit first, so
-    // sharers are visited in ascending global core order — the same
-    // sequence the old flat 64-bit mask produced.
-    const CoreSet<kMaxSockets> holding = entry->cores.sockets();
-    holding.forEachSetBit([&](unsigned socket) {
-        uint64_t word = entry->cores.socketWord(socket);
-        if (socket == my_socket)
-            word &= ~(uint64_t{1} << bitInSocket(requester));
-        while (word) {
-            const unsigned bit =
-                static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            const unsigned core = socket * config_.coresPerSocket + bit;
-            // A dirty copy is forwarded to the requester (whose own
-            // copy becomes Modified and will be written back on
-            // eviction), so no memory traffic is generated here.
-            invalidateCore(core, line);
-            if (!functional_)
-                ++stats_.invalidations;
-            if (socket != my_socket)
-                remote = true;
-            entry->cores.clear(socket, bit);
-        }
+    // Sharers are visited in ascending global core order on both
+    // tiers (the wide one walks only sockets that hold the line).
+    dir.takeOtherSharers(*entry, requester, [&](unsigned core) {
+        // A dirty copy is forwarded to the requester (whose own copy
+        // becomes Modified and will be written back on eviction), so
+        // no memory traffic is generated here.
+        invalidateCore(core, line);
+        if (!functional_)
+            ++stats_.invalidations;
+        if (socketOf(core) != my_socket)
+            remote = true;
     });
 
-    CoreSet<kMaxSockets> smask = entry->sockets;
-    smask.clear(my_socket);
-    smask.forEachSetBit([&](unsigned socket) {
+    dir.takeOtherSockets(*entry, my_socket, [&](unsigned socket) {
         const LineState prior = l3_[socket].invalidate(line);
         if (prior == LineState::Modified)
             dramAccess(socket * config_.coresPerSocket, now, false);
-        entry->sockets.clear(socket);
         remote = true;
     });
 
@@ -231,38 +212,35 @@ MemSystem::invalidateSharers(unsigned requester, uint64_t line, double now)
     return remote;
 }
 
+template <typename Dir>
 void
-MemSystem::handleL3Eviction(unsigned socket, const Eviction &ev, double now)
+MemSystem::handleL3Eviction(Dir &dir, unsigned socket, const Eviction &ev,
+                            double now)
 {
     const uint64_t line = ev.line;
     bool dirty = ev.dirty;
 
-    DirEntry *entry = findDir(line);
-    if (entry) {
-        // Only this socket's shard can hold back-invalidated cores;
-        // the two-level sharer set hands it to us directly.
-        uint64_t word = entry->cores.socketWord(socket);
-        while (word) {
-            const unsigned bit =
-                static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            const unsigned core = socket * config_.coresPerSocket + bit;
+    if (auto *entry = dir.find(line)) {
+        // Only this socket's cores can hold the line privately: its
+        // L3 is inclusive of their L1s and L2s.
+        dir.takeSocketSharers(*entry, socket, [&](unsigned core) {
             dirty |= invalidateCore(core, line);
             if (!functional_)
                 ++stats_.invalidations;
             if (entry->owner == static_cast<int16_t>(core))
                 entry->owner = -1;
-        }
-        entry->cores.clearSocket(socket);
-        entry->sockets.clear(socket);
-        maybeEraseDir(line);
+        });
+        dir.dropSocket(*entry, socket);
+        dir.eraseIfUnused(line, *entry);
     }
     if (dirty)
         dramAccess(socket * config_.coresPerSocket, now, false);
 }
 
+template <typename Dir>
 void
-MemSystem::fillL2(unsigned core, uint64_t line, LineState state, double now)
+MemSystem::fillL2(Dir &dir, unsigned core, uint64_t line, LineState state,
+                  double now)
 {
     const auto ev = l2_[core].insert(line, state);
     if (!ev)
@@ -272,11 +250,12 @@ MemSystem::fillL2(unsigned core, uint64_t line, LineState state, double now)
     const bool dirty_l1 =
         l1d_[core].invalidate(ev->line) == LineState::Modified;
     const bool dirty = ev->dirty || dirty_l1;
-    const unsigned socket = socketOf(core);
 
     if (dirty) {
-        if (l3_[socket].contains(ev->line)) {
-            l3_[socket].setState(ev->line, LineState::Modified);
+        SetAssocCache &l3 = l3_[socketOf(core)];
+        const int way3 = l3.lookup(ev->line);
+        if (way3 >= 0) {
+            l3.setState(ev->line, way3, LineState::Modified);
         } else {
             // L3 lost the line first (possible only transiently);
             // write the data back to memory.
@@ -284,12 +263,11 @@ MemSystem::fillL2(unsigned core, uint64_t line, LineState state, double now)
         }
     }
 
-    DirEntry *entry = findDir(ev->line);
-    if (entry) {
-        entry->cores.clear(socket, bitInSocket(core));
+    if (auto *entry = dir.find(ev->line)) {
+        dir.dropSharer(*entry, core);
         if (entry->owner == static_cast<int16_t>(core))
             entry->owner = -1;
-        maybeEraseDir(ev->line);
+        dir.eraseIfUnused(ev->line, *entry);
     }
 }
 
@@ -299,9 +277,9 @@ MemSystem::fillL1(unsigned core, uint64_t line, LineState state)
     const auto ev = l1d_[core].insert(line, state);
     if (ev && ev->dirty) {
         // The L2 is inclusive of the L1, so the victim must be there.
-        BP_ASSERT(l2_[core].contains(ev->line),
-                  "L1 victim missing from inclusive L2");
-        l2_[core].setState(ev->line, LineState::Modified);
+        const int way2 = l2_[core].lookup(ev->line);
+        BP_ASSERT(way2 >= 0, "L1 victim missing from inclusive L2");
+        l2_[core].setState(ev->line, way2, LineState::Modified);
     }
 }
 
@@ -310,26 +288,38 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
 {
     BP_ASSERT(core < config_.numCores, "core id out of range");
     const uint64_t line = lineOf(addr);
+    return std::visit(
+        [&](auto &dir) { return access(dir, core, line, is_write, now); },
+        dir_);
+}
+
+template <typename Dir>
+AccessResult
+MemSystem::access(Dir &dir, unsigned core, uint64_t line, bool is_write,
+                  double now)
+{
     const unsigned socket = socketOf(core);
     ++stats_.accesses;
 
     // --- L1 ---
-    int way = l1d_[core].lookup(line);
-    if (way >= 0) {
-        l1d_[core].touch(line, way);
-        const LineState state = l1d_[core].state(line);
-        if (!is_write || state == LineState::Modified) {
+    SetAssocCache &l1 = l1d_[core];
+    SetAssocCache &l2 = l2_[core];
+    const int way1 = l1.lookup(line);
+    if (way1 >= 0) {
+        l1.touch(line, way1);
+        if (!is_write || l1.state(line, way1) == LineState::Modified) {
             ++stats_.l1Hits;
             return {static_cast<double>(config_.l1d.latency), MemLevel::L1};
         }
         // Store to a Shared line: upgrade to Modified.
         ++stats_.upgrades;
-        const bool remote = invalidateSharers(core, line, now);
-        l1d_[core].setState(line, LineState::Modified);
-        if (l2_[core].contains(line))
-            l2_[core].setState(line, LineState::Modified);
-        DirEntry &entry = dirEntry(line);
-        entry.cores.set(socket, bitInSocket(core));
+        const bool remote = invalidateSharers(dir, core, line, now);
+        l1.setState(line, way1, LineState::Modified);
+        const int way2 = l2.lookup(line);
+        if (way2 >= 0)
+            l2.setState(line, way2, LineState::Modified);
+        auto &entry = dir.get(line);
+        dir.addSharer(entry, core);
         entry.owner = static_cast<int16_t>(core);
         ++stats_.l1Hits;
         const double latency = config_.l1d.latency + config_.upgradeLatency +
@@ -338,18 +328,18 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
     }
 
     // --- L2 ---
-    way = l2_[core].lookup(line);
-    if (way >= 0) {
-        l2_[core].touch(line, way);
-        LineState state = l2_[core].state(line);
+    const int way2 = l2.lookup(line);
+    if (way2 >= 0) {
+        l2.touch(line, way2);
+        LineState state = l2.state(line, way2);
         double extra = 0.0;
         if (is_write && state != LineState::Modified) {
             ++stats_.upgrades;
-            const bool remote = invalidateSharers(core, line, now);
-            l2_[core].setState(line, LineState::Modified);
+            const bool remote = invalidateSharers(dir, core, line, now);
+            l2.setState(line, way2, LineState::Modified);
             state = LineState::Modified;
-            DirEntry &entry = dirEntry(line);
-            entry.cores.set(socket, bitInSocket(core));
+            auto &entry = dir.get(line);
+            dir.addSharer(entry, core);
             entry.owner = static_cast<int16_t>(core);
             extra = config_.upgradeLatency +
                 (remote ? config_.remoteCacheLatency : 0.0);
@@ -361,35 +351,41 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
 
     // --- beyond the private levels ---
     double extra = 0.0;
-    DirEntry *entry = findDir(line);
-
-    if (is_write) {
-        if (entry && (entry->cores.anyOtherThan(socket, bitInSocket(core)) ||
-                      entry->owner >= 0 ||
-                      entry->sockets.anyOtherThan(socket))) {
-            const bool remote = invalidateSharers(core, line, now);
-            extra += config_.upgradeLatency +
-                (remote ? config_.remoteCacheLatency : 0.0);
+    {
+        // Neither invalidateSharers nor downgradeOwner inserts or
+        // erases a directory record, so this pointer outlives both
+        // calls; it goes out of scope before any fill.
+        auto *entry = dir.find(line);
+        if (is_write) {
+            if (entry && (dir.otherSharers(*entry, core) ||
+                          entry->owner >= 0 ||
+                          dir.otherSockets(*entry, socket))) {
+                const bool remote = invalidateSharers(dir, core, line, now);
+                extra += config_.upgradeLatency +
+                    (remote ? config_.remoteCacheLatency : 0.0);
+            }
+        } else if (entry && entry->owner >= 0 &&
+                   static_cast<unsigned>(entry->owner) != core) {
+            downgradeOwner(dir, static_cast<unsigned>(entry->owner), line,
+                           now);
+            extra += config_.dirtyForwardLatency;
         }
-    } else if (entry && entry->owner >= 0 &&
-               static_cast<unsigned>(entry->owner) != core) {
-        downgradeOwner(static_cast<unsigned>(entry->owner), line, now);
-        extra += config_.dirtyForwardLatency;
     }
 
     // --- local L3 ---
     double base_latency = 0.0;
     MemLevel level;
-    const int way3 = l3_[socket].lookup(line);
+    SetAssocCache &l3 = l3_[socket];
+    const int way3 = l3.lookup(line);
     if (way3 >= 0) {
-        l3_[socket].touch(line, way3);
+        l3.touch(line, way3);
         ++stats_.l3Hits;
         base_latency = config_.l3.latency;
         level = MemLevel::L3;
     } else {
         ++stats_.llcMisses;
-        entry = findDir(line);
-        if (entry && entry->sockets.anyOtherThan(socket)) {
+        const auto *entry = dir.find(line);
+        if (entry && dir.otherSockets(*entry, socket)) {
             ++stats_.remoteHits;
             base_latency = config_.remoteCacheLatency;
             level = MemLevel::RemoteCache;
@@ -397,22 +393,23 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
             base_latency = dramAccess(core, now, true);
             level = MemLevel::Dram;
         }
-        const auto ev = l3_[socket].insert(line, LineState::Shared);
+        const auto ev = l3.insert(line, LineState::Shared);
         if (ev)
-            handleL3Eviction(socket, *ev, now);
+            handleL3Eviction(dir, socket, *ev, now);
     }
 
     // --- fill the private levels ---
     const LineState priv_state =
         is_write ? LineState::Modified : LineState::Shared;
-    fillL2(core, line, priv_state, now);
+    fillL2(dir, core, line, priv_state, now);
     fillL1(core, line, priv_state);
 
-    DirEntry &final_entry = dirEntry(line);
-    final_entry.cores.set(socket, bitInSocket(core));
-    final_entry.sockets.set(socket);
+    // The fills may have erased other records: look this one up anew.
+    auto &entry = dir.get(line);
+    dir.addSharer(entry, core);
+    dir.addSocket(entry, socket);
     if (is_write)
-        final_entry.owner = static_cast<int16_t>(core);
+        entry.owner = static_cast<int16_t>(core);
 
     return {base_latency + extra, level};
 }
@@ -421,40 +418,57 @@ void
 MemSystem::installFunctional(unsigned core, uint64_t line_addr,
                              bool written, bool llc_dirty)
 {
+    BP_ASSERT(core < config_.numCores, "core id out of range");
     functional_ = true;
-    const uint64_t line = line_addr;
+    std::visit(
+        [&](auto &dir) {
+            installFunctional(dir, core, line_addr, written, llc_dirty);
+        },
+        dir_);
+    functional_ = false;
+}
+
+template <typename Dir>
+void
+MemSystem::installFunctional(Dir &dir, unsigned core, uint64_t line,
+                             bool written, bool llc_dirty)
+{
     const unsigned socket = socketOf(core);
     const LineState state =
         written ? LineState::Modified : LineState::Shared;
+    SetAssocCache &l1 = l1d_[core];
+    SetAssocCache &l3 = l3_[socket];
 
     if (written)
-        invalidateSharers(core, line, 0.0);
+        invalidateSharers(dir, core, line, 0.0);
 
-    if (!l1d_[core].contains(line)) {
-        if (!l3_[socket].contains(line)) {
-            const auto ev = l3_[socket].insert(line, LineState::Shared);
-            if (ev)
-                handleL3Eviction(socket, *ev, 0.0);
-        } else {
-            l3_[socket].touch(line, l3_[socket].lookup(line));
-        }
-        fillL2(core, line, state, 0.0);
+    const int way1 = l1.lookup(line);
+    if (way1 < 0) {
+        // A Shared insert over a resident L3 copy keeps its state and
+        // only makes it most recent, so one insert covers both cases.
+        const auto ev = l3.insert(line, LineState::Shared);
+        if (ev)
+            handleL3Eviction(dir, socket, *ev, 0.0);
+        fillL2(dir, core, line, state, 0.0);
         fillL1(core, line, state);
     } else if (written) {
-        l1d_[core].setState(line, LineState::Modified);
-        if (l2_[core].contains(line))
-            l2_[core].setState(line, LineState::Modified);
+        l1.setState(line, way1, LineState::Modified);
+        const int way2 = l2_[core].lookup(line);
+        if (way2 >= 0)
+            l2_[core].setState(line, way2, LineState::Modified);
     }
 
-    if (llc_dirty && l3_[socket].contains(line))
-        l3_[socket].setState(line, LineState::Modified);
+    if (llc_dirty) {
+        const int way3 = l3.lookup(line);
+        if (way3 >= 0)
+            l3.setState(line, way3, LineState::Modified);
+    }
 
-    DirEntry &entry = dirEntry(line);
-    entry.cores.set(socket, bitInSocket(core));
-    entry.sockets.set(socket);
+    auto &entry = dir.get(line);
+    dir.addSharer(entry, core);
+    dir.addSocket(entry, socket);
     if (written)
         entry.owner = static_cast<int16_t>(core);
-    functional_ = false;
 }
 
 void
@@ -481,7 +495,7 @@ MemSystem::reset()
         cache.reset();
     for (auto &cache : l3_)
         cache.reset();
-    dir_.clear();
+    std::visit([](auto &dir) { dir.clear(); }, dir_);
     dramFree_.assign(config_.numCores, 0.0);
     dramShare_.assign(config_.numSockets(), config_.dramTransferCycles);
     stats_ = MemStats();
@@ -515,14 +529,17 @@ MemSystem::DirFootprint
 MemSystem::dirFootprint() const
 {
     DirFootprint fp;
-    fp.lines = dir_.size();
-    if (fp.lines == 0)
-        return fp;
-    size_t bytes = fp.lines * sizeof(std::pair<const uint64_t, DirEntry>);
-    for (const auto &[line, entry] : dir_)
-        bytes += entry.cores.heapBytes();
-    fp.bytesPerLine = static_cast<double>(bytes) /
-        static_cast<double>(fp.lines);
+    size_t bytes = 0;
+    std::visit(
+        [&](const auto &dir) {
+            fp.lines = dir.size();
+            bytes = dir.bytes();
+        },
+        dir_);
+    if (fp.lines > 0) {
+        fp.bytesPerLine = static_cast<double>(bytes) /
+            static_cast<double>(fp.lines);
+    }
     return fp;
 }
 

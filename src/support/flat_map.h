@@ -64,6 +64,9 @@ class FlatMap
     bool empty() const { return size_ == 0; }
     size_t capacity() const { return slots_.size(); }
 
+    /** @return bytes per slot: capacity() * slotBytes() is the table. */
+    static constexpr size_t slotBytes() { return sizeof(Slot); }
+
     /** @return value pointer, or nullptr when @p key is absent. */
     V *
     find(uint64_t key)

@@ -16,6 +16,7 @@
 #include "src/core/artifacts.h"
 #include "src/core/barrierpoint.h"
 #include "src/support/serialize.h"
+#include "src/trace/micro_op.h"
 #include "src/workloads/test_workload.h"
 
 namespace bp {
@@ -542,6 +543,26 @@ TEST(ArtifactsTest, PayloadDigestValidatesTheArtifact)
     std::fputc(0x5a, f);
     std::fclose(f);
     EXPECT_THROW(artifactPayloadDigest(file.path()), SerializeError);
+}
+
+TEST(ArtifactsTest, MruLinesNoAddressMapsToAreRejected)
+{
+    // lineOf() shifts a 64-bit address right by kLineShift, so no
+    // address maps to a line at or above 2^58, and the simulator's
+    // caches tag their empty ways with all ones. A snapshot naming
+    // such a line is corrupt even when its checksum is valid.
+    TempFile file("mru_beyond_address_space.bp");
+    SnapshotArtifact artifact = fixedSnapshotArtifact();
+    artifact.snapshots[0][0].push_back({~uint64_t{0}, false, false});
+    saveArtifact(file.path(), artifact);
+    EXPECT_THROW(loadSnapshotArtifact(file.path()), SerializeError);
+
+    // The largest line an address does map to still loads.
+    const uint64_t top_line = lineOf(~uint64_t{0});
+    artifact.snapshots[0][0].back().line = top_line;
+    saveArtifact(file.path(), artifact);
+    EXPECT_EQ(loadSnapshotArtifact(file.path()).snapshots[0][0].back().line,
+              top_line);
 }
 
 } // namespace

@@ -153,8 +153,27 @@ TEST(CacheTest, SetStateOnResidentLine)
 {
     SetAssocCache c(smallCache());
     c.insert(2, LineState::Shared);
-    c.setState(2, LineState::Modified);
+    const int way = c.lookup(2);
+    ASSERT_GE(way, 0);
+    c.setState(2, way, LineState::Modified);
     EXPECT_EQ(c.state(2), LineState::Modified);
+    EXPECT_EQ(c.state(2, way), LineState::Modified);
+}
+
+TEST(CacheTest, EmptyWaysNeverMatchALine)
+{
+    // Empty ways hold the sentinel tag; the largest line an address
+    // can map to is still a miss on a cold cache and an ordinary line
+    // once inserted.
+    SetAssocCache c(smallCache());
+    const uint64_t top_line = lineOf(~uint64_t{0});
+    EXPECT_LT(top_line, SetAssocCache::kNoLine);
+    EXPECT_EQ(c.lookup(top_line), -1);
+    EXPECT_FALSE(c.insert(top_line, LineState::Shared).has_value());
+    EXPECT_TRUE(c.contains(top_line));
+    EXPECT_EQ(c.occupancy(), 1u);
+    EXPECT_EQ(c.invalidate(top_line), LineState::Shared);
+    EXPECT_EQ(c.occupancy(), 0u);
 }
 
 /** Parameterized fill test across realistic geometries. */
@@ -183,34 +202,82 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheGeometry{256 * 1024, 8, 8},
                       CacheGeometry{1024 * 1024, 16, 30}));
 
-/** LRU stress: behaviour must match a naive per-set LRU model. */
+/**
+ * Random-operation stress: lookups, fills, re-inserts, invalidations
+ * and way-addressed setState must match a naive per-set LRU model
+ * that keeps each set's lines oldest first with their states.
+ */
 TEST(CacheTest, MatchesNaiveLruModel)
 {
     const CacheGeometry g{1024, 4, 1};  // 4 sets x 4 ways
     SetAssocCache c(g);
-    std::vector<std::vector<uint64_t>> naive(g.numSets());
+    struct Held
+    {
+        uint64_t line;
+        LineState state;
+    };
+    std::vector<std::vector<Held>> naive(g.numSets());
 
     uint64_t seed = 2024;
-    for (int i = 0; i < 3000; ++i) {
+    for (int i = 0; i < 20000; ++i) {
         const uint64_t line = splitMix64(seed) % 64;
-        const size_t set = line % g.numSets();
-        auto &mru = naive[set];
-        const auto it = std::find(mru.begin(), mru.end(), line);
+        const uint64_t op = splitMix64(seed) % 8;
+        const LineState fill = (splitMix64(seed) & 1) ? LineState::Modified
+                                                     : LineState::Shared;
+        auto &set = naive[line % g.numSets()];
+        const auto it =
+            std::find_if(set.begin(), set.end(),
+                         [&](const Held &h) { return h.line == line; });
+        const bool resident = it != set.end();
 
         const int way = c.lookup(line);
-        if (it != mru.end()) {
-            ASSERT_GE(way, 0) << "naive model says hit";
+        ASSERT_EQ(way >= 0, resident) << "op " << i << " line " << line;
+        ASSERT_EQ(c.state(line), resident ? it->state : LineState::Invalid);
+
+        if (op == 0) {
+            // Invalidate: the prior state comes back, the way empties.
+            ASSERT_EQ(c.invalidate(line),
+                      resident ? it->state : LineState::Invalid);
+            if (resident)
+                set.erase(it);
+        } else if (op == 1 && resident) {
+            // Way-addressed state change; LRU order is untouched.
+            c.setState(line, way, fill);
+            ASSERT_EQ(c.state(line, way), fill);
+            it->state = fill;
+        } else if (op == 2 && resident) {
+            // Re-insert: Modified wins, the line becomes most recent.
+            ASSERT_FALSE(c.insert(line, fill).has_value());
+            Held held = *it;
+            if (fill == LineState::Modified)
+                held.state = LineState::Modified;
+            set.erase(it);
+            set.push_back(held);
+        } else if (resident) {
             c.touch(line, way);
-            mru.erase(it);
-            mru.push_back(line);
+            const Held held = *it;
+            set.erase(it);
+            set.push_back(held);
         } else {
-            ASSERT_EQ(way, -1) << "naive model says miss";
-            c.insert(line, LineState::Shared);
-            if (mru.size() == g.assoc)
-                mru.erase(mru.begin());
-            mru.push_back(line);
+            // Fill: an empty way if the set has one, else the LRU.
+            const auto ev = c.insert(line, fill);
+            if (set.size() == g.assoc) {
+                ASSERT_TRUE(ev.has_value()) << "op " << i;
+                EXPECT_EQ(ev->line, set.front().line);
+                EXPECT_EQ(ev->dirty,
+                          set.front().state == LineState::Modified);
+                set.erase(set.begin());
+            } else {
+                ASSERT_FALSE(ev.has_value()) << "op " << i;
+            }
+            set.push_back({line, fill});
         }
     }
+
+    uint64_t held = 0;
+    for (const auto &set : naive)
+        held += set.size();
+    EXPECT_EQ(c.occupancy(), held);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 
 #include "src/memsys/mem_system.h"
@@ -478,13 +479,16 @@ TEST(ManyCoreDirectoryTest, BackInvalidationAcrossManySockets)
 
 TEST(ManyCoreDirectoryTest, DirectoryStaysBelowAFlatMaskPerLine)
 {
-    // The cost side of the two-level SharerSet: a flat CoreSet<1024>
-    // sharer mask in every DirEntry would charge 128 bytes per line
-    // to every machine, the 8-core one included. The same per-core
-    // recipe runs at every width: a widely shared read-mostly region
-    // (entries with many sharers) and a private band per core, so
-    // wider machines hold more lines and bytes/line isolates the
-    // per-entry cost (88.0, 98.6, 96.8 and 92.0 when this was set).
+    // The cost side of the directory records: a flat CoreSet<1024>
+    // sharer mask per line would charge 128 bytes per line to every
+    // machine, the 8-core one included. The same per-core recipe runs
+    // at every width: a widely shared read-mostly region (entries
+    // with many sharers) and a private band per core, so wider
+    // machines hold more lines and bytes/line isolates the per-entry
+    // cost. 8 and 64 cores get the 16-byte record, whose footprint is
+    // the whole FlatMap table (32-byte slots at a load factor between
+    // 1/3 and 2/3): 68.8 and 56.9 bytes/line. 256 and 1024 cores keep
+    // the SharerSet record: 96.8 and 92.0.
     constexpr uint64_t kSharedLines = 4096;
     constexpr uint64_t kPrivateLines = 512;
     for (const unsigned cores : {8u, 64u, 256u, 1024u}) {
@@ -509,6 +513,81 @@ TEST(ManyCoreDirectoryTest, DirectoryStaysBelowAFlatMaskPerLine)
                     footprint.bytesPerLine);
         EXPECT_GE(footprint.lines, cores * kPrivateLines) << cores;
         EXPECT_LT(footprint.bytesPerLine, 128.0) << cores << " cores";
+    }
+}
+
+TEST(ManyCoreDirectoryTest, NarrowAndWideDirectoriesAgree)
+{
+    // The constructor gives a machine of at most 64 cores and 32
+    // sockets the 16-byte directory record and every other machine
+    // the SharerSet one. A 65-core machine (9 sockets, wide) driven
+    // only by cores 0-63 must behave exactly like the 64-core machine
+    // (narrow): same latencies to the bit, same serving levels, same
+    // statistics and the same L1 contents. Small caches keep L1, L2
+    // and L3 evictions, back-invalidations and remote traffic busy.
+    auto small = [](unsigned cores) {
+        MemSystemConfig c = configWide(cores);
+        c.l1d = CacheGeometry{1024, 2, 4};     // 8 sets x 2 ways
+        c.l2 = CacheGeometry{4 * 1024, 4, 8};  // 16 sets x 4 ways
+        c.l3 = CacheGeometry{32 * 1024, 8, 30};
+        return c;
+    };
+    MemSystem narrow(small(64));
+    MemSystem wide(small(65));
+    ASSERT_EQ(wide.config().numSockets(), 9u);
+
+    constexpr uint64_t kLines = 4096;
+    Rng rng(0x71E55);
+    double now = 0.0;
+    for (int i = 0; i < 200000; ++i) {
+        const unsigned core = static_cast<unsigned>(rng.nextBounded(64));
+        // A hot shared band plus a wide cold range.
+        const uint64_t line = rng.nextBounded(4) == 0
+            ? rng.nextBounded(64)
+            : rng.nextBounded(kLines);
+        const uint64_t kind = rng.nextBounded(16);
+        if (kind == 0) {
+            const bool written = rng.nextBounded(2) == 0;
+            const bool llc_dirty = rng.nextBounded(4) == 0;
+            narrow.installFunctional(core, line, written, llc_dirty);
+            wide.installFunctional(core, line, written, llc_dirty);
+            continue;
+        }
+        const bool is_write = kind < 5;
+        now += static_cast<double>(rng.nextBounded(8));
+        const AccessResult a =
+            narrow.access(core, addrOfLine(line), is_write, now);
+        const AccessResult b =
+            wide.access(core, addrOfLine(line), is_write, now);
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.latency),
+                  std::bit_cast<uint64_t>(b.latency))
+            << "access " << i;
+        ASSERT_EQ(a.level, b.level) << "access " << i;
+    }
+
+    const MemStats &sn = narrow.stats();
+    const MemStats &sw = wide.stats();
+    EXPECT_EQ(sn.accesses, sw.accesses);
+    EXPECT_EQ(sn.l1Hits, sw.l1Hits);
+    EXPECT_EQ(sn.l2Hits, sw.l2Hits);
+    EXPECT_EQ(sn.l3Hits, sw.l3Hits);
+    EXPECT_EQ(sn.remoteHits, sw.remoteHits);
+    EXPECT_EQ(sn.dramReads, sw.dramReads);
+    EXPECT_EQ(sn.dramWrites, sw.dramWrites);
+    EXPECT_EQ(sn.invalidations, sw.invalidations);
+    EXPECT_EQ(sn.upgrades, sw.upgrades);
+    EXPECT_EQ(sn.llcMisses, sw.llcMisses);
+    // The stream must have reached every path it pins.
+    EXPECT_GT(sn.invalidations, 0u);
+    EXPECT_GT(sn.remoteHits, 0u);
+    EXPECT_GT(sn.dramWrites, 0u);
+    EXPECT_GT(sn.upgrades, 0u);
+
+    for (unsigned core = 0; core < 64; ++core) {
+        for (uint64_t line = 0; line < kLines; ++line) {
+            ASSERT_EQ(narrow.l1State(core, line), wide.l1State(core, line))
+                << "core " << core << " line " << line;
+        }
     }
 }
 
