@@ -23,7 +23,7 @@
  *
  * CoreSet<MaxBits> is a word-array bitmap in the style of the Linux
  * kernel's bitmap/cpumask: set/clear/test/andNot plus popcount and
- * find_next_bit-style iteration, all shift-UB-free by construction
+ * ascending set-bit iteration, all shift-UB-free by construction
  * (every shift amount is reduced modulo the 64-bit word width before
  * use, and bit indices are asserted in range).
  *
@@ -73,11 +73,11 @@ inline constexpr unsigned kMaxSockets = kMaxCores / 8;
  * Fixed-capacity bitmap over core (or socket) indices [0, MaxBits).
  *
  * Storage is an inline array of 64-bit words; a default-constructed
- * set is empty. Iteration (firstSet/nextSet/forEachSetBit) visits set
- * bits in ascending index order — the same order a countr_zero walk
- * of a flat mask produces, which is what keeps the coherence
- * directory's invalidation sequence bit-identical to the old
- * single-word representation on <= 64-core machines.
+ * set is empty. forEachSetBit visits set bits in ascending index
+ * order — the same order a countr_zero walk of a flat mask produces,
+ * which is what keeps the coherence directory's invalidation sequence
+ * bit-identical to the old single-word representation on <= 64-core
+ * machines.
  */
 template <unsigned MaxBits>
 class CoreSet
@@ -159,25 +159,6 @@ class CoreSet
             words_[w] &= ~other.words_[w];
     }
 
-    /** *this |= other. */
-    constexpr void
-    orWith(const CoreSet &other)
-    {
-        for (unsigned w = 0; w < kWords; ++w)
-            words_[w] |= other.words_[w];
-    }
-
-    /** @return true when the two sets share any bit. */
-    constexpr bool
-    intersects(const CoreSet &other) const
-    {
-        for (unsigned w = 0; w < kWords; ++w) {
-            if (words_[w] & other.words_[w])
-                return true;
-        }
-        return false;
-    }
-
     /** @return true when any bit other than @p bit is set. */
     constexpr bool
     anyOtherThan(unsigned bit) const
@@ -191,47 +172,6 @@ class CoreSet
                 return true;
         }
         return false;
-    }
-
-    /** @return lowest set bit, or -1 when empty. */
-    constexpr int
-    firstSet() const
-    {
-        for (unsigned w = 0; w < kWords; ++w) {
-            if (words_[w]) {
-                return static_cast<int>(
-                    w * kWordBits +
-                    static_cast<unsigned>(std::countr_zero(words_[w])));
-            }
-        }
-        return -1;
-    }
-
-    /**
-     * @return lowest set bit strictly greater than @p prev, or -1 —
-     * find_next_bit. Iterate a set with
-     * `for (int b = s.firstSet(); b >= 0; b = s.nextSet(b))`.
-     */
-    constexpr int
-    nextSet(unsigned prev) const
-    {
-        const unsigned start = prev + 1;
-        if (start >= MaxBits)
-            return -1;
-        unsigned w = start / kWordBits;
-        // Mask off bits at or below prev; start % 64 < 64, so the
-        // shift is well defined.
-        uint64_t word = words_[w] & (~uint64_t{0} << (start % kWordBits));
-        while (true) {
-            if (word) {
-                return static_cast<int>(
-                    w * kWordBits +
-                    static_cast<unsigned>(std::countr_zero(word)));
-            }
-            if (++w >= kWords)
-                return -1;
-            word = words_[w];
-        }
     }
 
     /** Invoke @p fn(bit) for every set bit, in ascending order. */

@@ -98,13 +98,6 @@ class BasicFenwickTree
         return lo == 0 ? upper : upper - prefixSum(lo - 1);
     }
 
-    /** @return total sum over all positions. */
-    int64_t
-    totalSum() const
-    {
-        return size() == 0 ? 0 : prefixSum(size() - 1);
-    }
-
   private:
     std::vector<CountT> tree_;
 };

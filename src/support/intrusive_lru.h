@@ -35,13 +35,6 @@ class IntrusiveLru
     /** Pre-size the arena for @p count nodes. */
     void reserve(size_t count) { nodes_.reserve(count); }
 
-    /** @return the key stored at node @p idx. */
-    uint64_t
-    keyOf(uint32_t idx) const
-    {
-        return nodes_[idx].key;
-    }
-
     /** Link a new node holding @p key at the MRU end. */
     uint32_t
     pushBack(uint64_t key)

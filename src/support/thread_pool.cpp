@@ -216,13 +216,15 @@ ThreadPool::parallelFor(uint64_t begin, uint64_t end,
     // lock it is written under: the post-wait read is ordered by the
     // wait itself, but only the lock makes that discipline checkable,
     // and a future early-exit path would silently turn the unlocked
-    // read into a real race.
+    // read into a real race. It is moved out, not copied: a helper
+    // may still drop the last reference to the job after the wait,
+    // and the job must not own the exception the caller is reading.
     std::exception_ptr error;
     {
         UniqueLock lock(job->mutex);
         while (job->active.load(std::memory_order_acquire) != 0)
             job->done.wait(lock);
-        error = job->error;
+        error = std::move(job->error);
     }
     if (error)
         std::rethrow_exception(error);

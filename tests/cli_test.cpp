@@ -14,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -168,6 +171,94 @@ TEST(CliTest, UnknownOptionIsAUsageError)
         runCli("profile --workload npb-is --bogus 1 -o /dev/null");
     EXPECT_EQ(result.exitCode, 2);
     EXPECT_NE(result.output.find("unknown option"), std::string::npos);
+
+    // -o has no long alias.
+    const RunResult alias =
+        runCli("profile --workload npb-is --output /dev/null");
+    EXPECT_EQ(alias.exitCode, 2);
+    EXPECT_NE(alias.output.find("unknown option"), std::string::npos);
+}
+
+TEST(CliTest, EachCommandTakesExactlyTheOptionsItsUsageLists)
+{
+    // Parse `bp --help`: a command line is "  <name>  <summary>", and
+    // the option lines under it are indented 15 columns.
+    const RunResult help = runCli("--help");
+    ASSERT_EQ(help.exitCode, 0);
+    std::map<std::string, std::set<std::string>> options;
+    std::set<std::string> every_option;
+    std::string command;
+    std::istringstream lines(help.output);
+    for (std::string line; std::getline(lines, line);) {
+        const bool named = line.size() > 2 &&
+                           std::islower(static_cast<unsigned char>(line[2]));
+        if (line.starts_with("  ") && named) {
+            command = line.substr(2, line.find(' ', 2) - 2);
+        } else if (line.starts_with(std::string(15, ' ')) &&
+                   !command.empty()) {
+            std::istringstream words(line);
+            for (std::string word; words >> word;) {
+                if (word.starts_with('['))
+                    word.erase(0, 1);
+                if (word.starts_with('-')) {
+                    options[command].insert(word);
+                    every_option.insert(word);
+                }
+            }
+        }
+    }
+    ASSERT_EQ(options.size(), 9u) << help.output;
+    EXPECT_TRUE(options["report"].count("--reference"));
+    EXPECT_TRUE(options["sweep"].count("--reference"));
+
+    // Every listed option parses on its command; every other command's
+    // option is unknown there, whatever else is missing.
+    for (const auto &[name, own] : options) {
+        for (const std::string &option : every_option) {
+            const RunResult result = runCli(name + " " + option + " x");
+            EXPECT_EQ(result.output.find("unknown option") ==
+                          std::string::npos,
+                      own.count(option) > 0)
+                << "bp " << name << " " << option << " x\n"
+                << result.output;
+        }
+    }
+}
+
+TEST(CliTest, RepeatedOptionIsAUsageErrorNamingIt)
+{
+    const RunResult result = runCli(
+        "profile --workload npb-is --threads 2 --threads 4 -o /dev/null");
+    EXPECT_EQ(result.exitCode, 2);
+    EXPECT_NE(result.output.find("'--threads' given twice"),
+              std::string::npos)
+        << result.output;
+}
+
+TEST(CliTest, UnknownOptionIsReportedBeforeMissingOnes)
+{
+    const RunResult result = runCli("profile --help-me x");
+    EXPECT_EQ(result.exitCode, 2);
+    EXPECT_NE(result.output.find("unknown option '--help-me'"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("--workload"), std::string::npos)
+        << result.output;
+}
+
+TEST(CliTest, MissingOutputNamesDashO)
+{
+    for (const std::string args :
+         {"profile --workload npb-is", "analyze --profile x.bp",
+          "simulate --analysis x.bp --machine 8-core",
+          "reference --analysis x.bp --machine 8-core",
+          "record --workload npb-is"}) {
+        const RunResult result = runCli(args);
+        EXPECT_EQ(result.exitCode, 2) << args;
+        EXPECT_NE(result.output.find("missing required option '-o'"),
+                  std::string::npos)
+            << args << "\n" << result.output;
+    }
 }
 
 TEST(CliTest, UnknownWorkloadIsAUsageErrorListingNames)
@@ -310,7 +401,7 @@ TEST(CliTest, BadProfilingValueIsAUsageError)
     for (const std::string bad :
          {"sampled:0", "sampled:1.5", "sampled:-0.1", "sampled:abc",
           "sampled", "sampled_adaptive:0", "sampled_adaptive:junk",
-          "bogus"}) {
+          "bogus", "adaptive:64"}) {
         const RunResult result =
             runCli("profile --workload npb-is --profiling " + bad +
                    " -o /dev/null");
@@ -323,6 +414,10 @@ TEST(CliTest, BadProfilingValueIsAUsageError)
     const RunResult sweep = runCli(
         "sweep --workload npb-is --profiling sampled:2 -o /dev/null");
     EXPECT_EQ(sweep.exitCode, 2);
+    const RunResult sweep_rate =
+        runCli("sweep --workload npb-is --profiling sampled:2");
+    EXPECT_EQ(sweep_rate.exitCode, 2);
+    EXPECT_NE(sweep_rate.output.find("profiling"), std::string::npos);
 }
 
 TEST(CliTest, HelpDocumentsTraceWorkloadsAndTraceCommands)
@@ -445,11 +540,13 @@ TEST(CliTest, RuntimeFailuresExitOne)
         << foreign.output;
 
     // Any other exception is one too, never an abort (exit 134): an
-    // absurd scale throws std::length_error from vector::reserve.
+    // absurd scale throws std::length_error from vector::reserve, and
+    // the message quotes the command line that asked for it.
     const RunResult huge = runCli(
         "profile --workload npb-is --threads 2 --scale 1e300 -o /dev/null");
     EXPECT_EQ(huge.exitCode, 1) << huge.output;
     EXPECT_NE(huge.output.find("fatal"), std::string::npos);
+    EXPECT_NE(huge.output.find("--scale"), std::string::npos) << huge.output;
 }
 
 TEST(CliTest, ArtifactFlowChainsEveryStageThroughFiles)

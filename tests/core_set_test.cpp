@@ -61,11 +61,8 @@ TEST(CoreSetTest, WordBoundaryBits)
         s.set(bit);
         EXPECT_TRUE(s.test(bit)) << bit;
         EXPECT_EQ(s.count(), 1u) << bit;
-        EXPECT_EQ(s.firstSet(), static_cast<int>(bit)) << bit;
-        EXPECT_EQ(s.nextSet(bit), -1) << bit;
         if (bit > 0) {
             EXPECT_FALSE(s.test(bit - 1)) << bit;
-            EXPECT_EQ(s.nextSet(bit - 1), static_cast<int>(bit)) << bit;
         }
         if (bit + 1 < Wide::kBits)
             EXPECT_FALSE(s.test(bit + 1)) << bit;
@@ -82,12 +79,6 @@ TEST(CoreSetTest, IterationCrossesWords)
     for (const unsigned b : bits)
         s.set(b);
     EXPECT_EQ(setBitsOf(s), bits);  // ascending order
-    EXPECT_EQ(s.firstSet(), 0);
-    EXPECT_EQ(s.nextSet(0), 63);
-    EXPECT_EQ(s.nextSet(63), 64);
-    EXPECT_EQ(s.nextSet(64), 511);
-    EXPECT_EQ(s.nextSet(512), 1023);
-    EXPECT_EQ(s.nextSet(1023), -1);
     EXPECT_TRUE(s.anyOtherThan(64));
 }
 
@@ -109,8 +100,6 @@ TEST(CoreSetTest, NarrowCapacityUsesPartialWord)
     CoreSet<100> s;
     s.set(99);
     EXPECT_TRUE(s.test(99));
-    EXPECT_EQ(s.firstSet(), 99);
-    EXPECT_EQ(s.nextSet(99), -1);
     EXPECT_EQ(s.count(), 1u);
 }
 
@@ -147,7 +136,7 @@ TEST(CoreSetTest, RandomOpsMatchStdBitset)
     expectEquivalent(s, r);
 }
 
-TEST(CoreSetTest, AndNotOrWithIntersectsMatchStdBitset)
+TEST(CoreSetTest, AndNotMatchesStdBitset)
 {
     Rng rng(0xBEEF);
     for (int round = 0; round < 200; ++round) {
@@ -164,15 +153,9 @@ TEST(CoreSetTest, AndNotOrWithIntersectsMatchStdBitset)
             b.set(bbit);
             rb.set(bbit);
         }
-        ASSERT_EQ(a.intersects(b), (ra & rb).any());
-
         Wide and_not = a;
         and_not.andNot(b);
         expectEquivalent(and_not, ra & ~rb);
-
-        Wide or_with = a;
-        or_with.orWith(b);
-        expectEquivalent(or_with, ra | rb);
     }
 }
 

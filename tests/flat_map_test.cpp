@@ -291,7 +291,9 @@ TEST(IntrusiveLruTest, FreelistReusesArenaSlots)
     lru.erase(a);
     const uint32_t b = lru.pushBack(20);
     EXPECT_EQ(a, b);  // recycled, not appended
-    EXPECT_EQ(lru.keyOf(b), 20u);
+    std::vector<uint64_t> keys;
+    lru.forEachOldestFirst([&](uint64_t k) { keys.push_back(k); });
+    EXPECT_EQ(keys, (std::vector<uint64_t>{20}));
     EXPECT_EQ(lru.size(), 1u);
 }
 

@@ -321,7 +321,6 @@ TEST(FenwickTest, PrefixSums)
     EXPECT_EQ(t.prefixSum(4), 1);
     EXPECT_EQ(t.prefixSum(5), 4);
     EXPECT_EQ(t.prefixSum(9), 6);
-    EXPECT_EQ(t.totalSum(), 6);
 }
 
 TEST(FenwickTest, RangeSum)

@@ -73,14 +73,18 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossManyInvocations)
 TEST(ThreadPoolTest, ExceptionFromSmallestIndexPropagates)
 {
     ThreadPool pool(4);
-    try {
-        pool.parallelFor(0, 256, [](uint64_t i) {
-            if (i % 64 == 3)  // throws at 3, 67, 131, 195
-                throw std::runtime_error("task " + std::to_string(i));
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "task 3");
+    // Many rounds: a helper that drops the last reference to the job
+    // while the caller reads the exception races only now and then.
+    for (int round = 0; round < 2000; ++round) {
+        try {
+            pool.parallelFor(0, 256, [](uint64_t i) {
+                if (i % 64 == 3)  // throws at 3, 67, 131, 195
+                    throw std::runtime_error("task " + std::to_string(i));
+            });
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error &e) {
+            ASSERT_STREQ(e.what(), "task 3") << "round " << round;
+        }
     }
 }
 

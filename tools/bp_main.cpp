@@ -36,16 +36,23 @@
  *   bp profile   --workload trace:cg.bptrace -o cg.profile.bp
  *   bp digest    --artifact cg.profile.bp
  *
+ * One table, kCommands, holds every command and its options; the
+ * usage text, the dispatch and the command-line grammar all come from
+ * it, and handlers read typed, range-checked values.
+ *
  * Exit codes: 0 success, 1 runtime failure (unreadable or mismatched
- * artifacts, corrupt traces, simulation errors, any other exception
- * such as exhausted memory), 2 usage error
- * (unknown command or option, bad value, unknown workload/machine
- * name, missing trace file).
+ * artifacts, corrupt traces, simulation errors, exhausted memory, any
+ * other exception), 2 usage error (unknown command or option, missing
+ * or repeated option, bad value, unknown workload/machine name,
+ * missing trace file).
  */
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <map>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,165 +89,147 @@ joined(const std::vector<std::string> &names)
     return out;
 }
 
-std::string
-usageText()
-{
-    std::string text =
-        "usage: bp <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  profile    profile a workload's regions (one-time cost)\n"
-        "               --workload NAME [--threads N] [--scale S] [--seed X]\n"
-        "               [--profiling exact|sampled:R|sampled_adaptive:S]\n"
-        "               [--jobs J] -o FILE\n"
-        "  analyze    select barrierpoints from a profile artifact\n"
-        "               --profile FILE [--signature bbv|reuse_dist|combine]\n"
-        "               [--dim D] [--max-k K] [--significance F] [--jobs J]\n"
-        "               [--streaming yes] [--memory-budget SIZE]\n"
-        "               -o FILE\n"
-        "  simulate   detailed-simulate only the barrierpoints\n"
-        "               --analysis FILE --machine NAME [--warmup mru|cold]\n"
-        "               [--snapshots FILE] [--jobs J] -o FILE\n"
-        "  reference  detailed-simulate every region (the costly baseline)\n"
-        "               --analysis FILE --machine NAME -o FILE\n"
-        "  report     reconstruct whole-program metrics from artifacts\n"
-        "               --analysis FILE --result FILE [--reference FILE]\n"
-        "  sweep      profile once, simulate many machines, in one session\n"
-        "               --workload NAME [--threads N] [--scale S] [--seed X]\n"
-        "               [--machines NAME,NAME,...] [--warmup mru|cold]\n"
-        "               [--signature bbv|reuse_dist|combine] [--dim D]\n"
-        "               [--max-k K] [--significance F] [--jobs J]\n"
-        "               [--profiling exact|sampled:R|sampled_adaptive:S]\n"
-        "               [--streaming yes] [--memory-budget SIZE]\n"
-        "               [--artifacts DIR] [--reference yes]\n"
-        "  record     record a workload's full trace to a .bptrace file\n"
-        "               --workload NAME [--threads N] [--scale S] [--seed X]\n"
-        "               [--buffer SIZE] -o FILE\n"
-        "  ingest     validate a recorded trace and print its shape\n"
-        "               --trace FILE [--verify yes]\n"
-        "  digest     print a content digest of an artifact's payload\n"
-        "               --artifact FILE\n"
-        "  help       print this message (also: bp --help)\n"
-        "\n";
-    text += "workloads: " + joined(workloadNames()) + ",\n"
-            "           or trace:<path> to replay a .bptrace recording "
-            "(see 'bp record')\n";
-    text += "machines:  " + joined(MachineConfig::knownNames()) +
-            ", or any \"<N>-core\" with N in [1, " +
-            std::to_string(kMaxCores) + "]\n";
-    return text;
-}
+class Args;
 
-/** Tiny --key value argument list with required/optional lookups. */
+/** One option: `key VALUE` as the usage shows it. */
+struct Option
+{
+    const char *key;
+    const char *value;
+    bool required = false;
+};
+
+/** One row of kCommands. */
+struct Command
+{
+    const char *name;
+    const char *summary;
+    int (*run)(const Args &);  ///< nullptr for `help`
+    std::vector<Option> options;
+
+    bool
+    takes(const std::string &key) const
+    {
+        return std::any_of(options.begin(), options.end(),
+                           [&](const Option &o) { return key == o.key; });
+    }
+};
+
+/**
+ * A command line checked against its command's row: every key is one
+ * of the row's options, given once and followed by a value, and every
+ * required option is present. Each typed accessor parses strictly —
+ * signs, whitespace, trailing junk, overflow, "nan" and "inf" are usage
+ * errors — and checks its own range before narrowing.
+ */
 class Args
 {
   public:
-    Args(int argc, char **argv)
+    Args(const Command &command, int argc, char **argv) : command_(command)
     {
-        for (int i = 0; i < argc; ++i) {
+        for (int i = 0; i < argc; i += 2) {
             const std::string key = argv[i];
-            if (key.rfind("--", 0) != 0 && key != "-o")
-                throw UsageError("unexpected argument '" + key +
-                                 "' (options are --key value)");
+            if (!command.takes(key))
+                throw UsageError("unknown option '" + key + "' for bp " +
+                                 command.name + " (options are --key value)");
             if (i + 1 >= argc)
                 throw UsageError("option '" + key +
                                  "' is missing its value");
-            keys_.push_back(key == "-o" ? "--output" : key);
-            values_.push_back(argv[++i]);
-            used_.push_back(false);
+            if (!values_.emplace(key, argv[i + 1]).second)
+                throw UsageError("option '" + key + "' given twice");
+        }
+        for (const Option &option : command.options) {
+            if (option.required && !values_.count(option.key))
+                throw UsageError("missing required option '" +
+                                 std::string(option.key) + "'");
         }
     }
 
+    /** @return the value given for @p key, or nullptr. */
     const std::string *
     find(const std::string &key) const
     {
-        for (size_t i = 0; i < keys_.size(); ++i) {
-            if (keys_[i] == key) {
-                used_[i] = true;
-                return &values_[i];
-            }
-        }
-        return nullptr;
+        BP_ASSERT(command_.takes(key), "option missing from kCommands");
+        const auto it = values_.find(key);
+        return it == values_.end() ? nullptr : &it->second;
     }
 
     std::string
-    required(const std::string &key) const
-    {
-        const std::string *value = find(key);
-        if (!value)
-            throw UsageError("missing required option '" + key + "'");
-        return *value;
-    }
-
-    std::string
-    optional(const std::string &key, const std::string &fallback) const
+    text(const std::string &key, const std::string &fallback = "") const
     {
         const std::string *value = find(key);
         return value ? *value : fallback;
     }
 
-    uint64_t
-    integer(const std::string &key, uint64_t fallback) const
+    template <typename T>
+    T
+    integer(const std::string &key, T fallback, T lo = 0,
+            T hi = std::numeric_limits<T>::max()) const
     {
-        const std::string *value = find(key);
-        if (!value)
-            return fallback;
-        // Strict full-consumption parse: signs, whitespace, trailing
-        // junk, and overflow are all usage errors, never wrapped or
-        // truncated values (strtoull accepted "8x" as 8 and "-1" as
-        // 2^64 - 1 here once).
-        const std::optional<uint64_t> parsed = parseUint(*value);
-        if (!parsed)
-            throw UsageError("option '" + key +
-                             "' wants a non-negative integer, got '" +
-                             *value + "'");
-        return *parsed;
+        return static_cast<T>(typed<uint64_t>(
+            key, fallback, parseUint, "a non-negative integer", lo, hi));
     }
 
     double
-    real(const std::string &key, double fallback) const
+    real(const std::string &key, double fallback, double lo, double hi) const
     {
-        const std::string *value = find(key);
-        if (!value)
-            return fallback;
-        // Strict like integer(): "nan", "inf" and "1e400" are usage
-        // errors, never a value the range checks cannot order.
-        const std::optional<double> parsed = parseReal(*value);
-        if (!parsed)
-            throw UsageError("option '" + key +
-                             "' wants a finite number, got '" + *value +
-                             "'");
-        return *parsed;
+        return typed(key, fallback, parseReal, "a finite number", lo, hi);
+    }
+
+    uint64_t
+    bytes(const std::string &key, uint64_t fallback) const
+    {
+        return typed<uint64_t>(
+            key, fallback, parseByteSize,
+            "a positive size like 256M (optional K/M/G suffix)");
     }
 
     bool
     flag(const std::string &key) const
     {
-        const std::string *value = find(key);
-        if (!value)
-            return false;
-        if (*value == "yes" || *value == "true" || *value == "1")
+        const std::string value = text(key, "no");
+        if (value == "yes" || value == "true" || value == "1")
             return true;
-        if (*value == "no" || *value == "false" || *value == "0")
+        if (value == "no" || value == "false" || value == "0")
             return false;
         throw UsageError("option '" + key + "' wants yes or no, got '" +
-                         *value + "'");
-    }
-
-    /** Reject typo'd options that nothing consumed. */
-    void
-    finish() const
-    {
-        for (size_t i = 0; i < keys_.size(); ++i) {
-            if (!used_[i])
-                throw UsageError("unknown option '" + keys_[i] + "'");
-        }
+                         value + "'");
     }
 
   private:
-    std::vector<std::string> keys_;
-    std::vector<std::string> values_;
-    mutable std::vector<bool> used_;
+    /** The value of @p key as @p parse reads it, in [@p lo, @p hi]. */
+    template <typename T, typename Parse>
+    T
+    typed(const std::string &key, T fallback, Parse parse, const char *wants,
+          T lo = std::numeric_limits<T>::lowest(),
+          T hi = std::numeric_limits<T>::max()) const
+    {
+        const std::string *value = find(key);
+        if (!value)
+            return fallback;
+        const std::optional<T> parsed = parse(*value);
+        if (!parsed)
+            throw UsageError("option '" + key + "' wants " + wants +
+                             ", got '" + *value + "'");
+        if (*parsed < lo || *parsed > hi)
+            throw UsageError("option '" + key + "' must lie in [" +
+                             shown(lo) + ", " + shown(hi) + "], got '" +
+                             *value + "'");
+        return *parsed;
+    }
+
+    /** The shortest decimal that reads back as @p value. */
+    template <typename T>
+    static std::string
+    shown(T value)
+    {
+        char buffer[32];
+        return std::string(
+            buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+    }
+
+    const Command &command_;
+    std::map<std::string, std::string> values_;
 };
 
 SignatureKind
@@ -272,44 +261,22 @@ parseProfilingConfig(const std::string &arg)
         colon == std::string::npos ? "" : arg.substr(colon + 1);
     if (mode == "sampled") {
         const std::optional<double> rate = parseReal(value);
-        if (!rate)
-            throw UsageError("--profiling sampled wants a rate "
-                             "(sampled:R), got '" +
-                             arg + "'");
-        if (!(*rate > 0.0 && *rate <= 1.0))
-            throw UsageError(
-                "--profiling sampling rate must lie in (0, 1], got '" +
-                value + "'");
+        if (!rate || !(*rate > 0.0 && *rate <= 1.0))
+            throw UsageError("--profiling sampled:R wants a sampling rate "
+                             "R in (0, 1], got '" + arg + "'");
         return ProfilingConfig::sampled(*rate);
     }
-    if (mode == "sampled_adaptive" || mode == "adaptive") {
-        const std::optional<uint64_t> parsed = parseUint(value);
-        if (!parsed)
-            throw UsageError("--profiling sampled_adaptive wants a line "
-                             "budget (sampled_adaptive:S), got '" +
-                             arg + "'");
-        const uint64_t s_max = *parsed;
-        if (s_max < 1 || s_max > kMaxTrackedLines)
-            throw UsageError("--profiling adaptive line budget must lie "
-                             "in [1, " +
+    if (mode == "sampled_adaptive") {
+        const std::optional<uint64_t> s_max = parseUint(value);
+        if (!s_max || *s_max < 1 || *s_max > kMaxTrackedLines)
+            throw UsageError("--profiling sampled_adaptive:S wants a line "
+                             "budget S in [1, " +
                              std::to_string(kMaxTrackedLines) +
-                             "], got '" + value + "'");
-        return ProfilingConfig::sampledAdaptive(s_max);
+                             "], got '" + arg + "'");
+        return ProfilingConfig::sampledAdaptive(*s_max);
     }
     throw UsageError("unknown profiling mode '" + arg +
                      "' (exact, sampled:R, sampled_adaptive:S)");
-}
-
-/** parseByteSize() with the CLI's error convention (exit 2). */
-uint64_t
-parseSizeOption(const std::string &option, const std::string &value)
-{
-    const std::optional<uint64_t> bytes = parseByteSize(value);
-    if (!bytes)
-        throw UsageError("option '" + option +
-                         "' wants a positive size like 256M (optional "
-                         "K/M/G suffix), got '" + value + "'");
-    return *bytes;
 }
 
 /**
@@ -321,13 +288,11 @@ void
 streamingFromArgs(const Args &args, StreamingConfig &streaming)
 {
     streaming.enabled = args.flag("--streaming");
-    const std::string *budget = args.find("--memory-budget");
-    if (budget && !streaming.enabled)
+    if (args.find("--memory-budget") && !streaming.enabled)
         throw UsageError(
             "--memory-budget is only meaningful with --streaming yes");
-    if (budget)
-        streaming.memoryBudgetBytes =
-            parseSizeOption("--memory-budget", *budget);
+    streaming.memoryBudgetBytes =
+        args.bytes("--memory-budget", streaming.memoryBudgetBytes);
 }
 
 WarmupPolicy
@@ -338,18 +303,6 @@ parseWarmupPolicy(const std::string &name)
     if (name == "cold")
         return WarmupPolicy::Cold;
     throw UsageError("unknown warmup policy '" + name + "' (mru, cold)");
-}
-
-/** Registry lookup that lists the valid names on a miss. */
-void
-checkWorkloadName(const std::string &name)
-{
-    for (const std::string &known : workloadNames()) {
-        if (name == known)
-            return;
-    }
-    throw UsageError("unknown workload '" + name +
-                     "' (workloads: " + joined(workloadNames()) + ")");
 }
 
 /** Machine lookup that lists the valid names on a miss. */
@@ -370,7 +323,7 @@ WorkloadSpec
 workloadSpecFromArgs(const Args &args)
 {
     WorkloadSpec spec;
-    spec.name = args.required("--workload");
+    spec.name = args.text("--workload");
 
     // Scheme-prefixed names are external workloads. Everything that
     // would make the registry call fatal() (exit 1) is promoted to a
@@ -403,60 +356,35 @@ workloadSpecFromArgs(const Args &args)
         return spec;
     }
 
-    // Range-checked before narrowing: 2^32 + 1 must not wrap to 1.
-    const uint64_t threads = args.integer("--threads", 8);
-    spec.scale = args.real("--scale", 1.0);
-    spec.seed = args.integer("--seed", 12345);
-    checkWorkloadName(spec.name);
-    if (threads < 1 || threads > kMaxCores)
-        throw UsageError("--threads must be in [1, " +
-                         std::to_string(kMaxCores) + "], got " +
-                         std::to_string(threads));
-    spec.threads = static_cast<unsigned>(threads);
-    if (spec.scale <= 0.0)
-        throw UsageError("--scale must be positive");
+    spec.threads = args.integer<unsigned>("--threads", 8, 1, kMaxCores);
+    // Any positive finite scale: denorm_min is the least positive double.
+    spec.scale = args.real("--scale", 1.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max());
+    spec.seed = args.integer<uint64_t>("--seed", 12345);
+    const std::vector<std::string> names = workloadNames();
+    if (std::find(names.begin(), names.end(), spec.name) == names.end())
+        throw UsageError("unknown workload '" + spec.name +
+                         "' (workloads: " + joined(names) + ")");
     return spec;
 }
 
-/** Worker count for the ExecutionContext; ThreadPool caps at 1024. */
-unsigned
-jobsFromArgs(const Args &args)
-{
-    const uint64_t jobs = args.integer("--jobs", 1);
-    if (jobs > 1024)
-        throw UsageError("--jobs must be in [0, 1024] (0 = hardware "
-                         "concurrency), got " +
-                         std::to_string(jobs));
-    return static_cast<unsigned>(jobs);
-}
-
-/** A count option in [1, UINT32_MAX]: zero would panic the clustering
- *  stage and a wider value would wrap. */
-unsigned
-countFromArgs(const Args &args, const std::string &key, unsigned fallback)
-{
-    const uint64_t count = args.integer(key, fallback);
-    if (count == 0 || count > std::numeric_limits<uint32_t>::max())
-        throw UsageError(key + " must be in [1, " +
-                         std::to_string(std::numeric_limits<uint32_t>::max()) +
-                         "], got " + std::to_string(count));
-    return static_cast<unsigned>(count);
-}
+/** The most --jobs workers ThreadPool takes; 0 is the hardware's. */
+constexpr unsigned kMaxJobs = 1024;
 
 BarrierPointOptions
 analysisOptionsFromArgs(const Args &args)
 {
     BarrierPointOptions options;
     options.signature.kind =
-        parseSignatureKind(args.optional("--signature", "combine"));
+        parseSignatureKind(args.text("--signature", "combine"));
+    // Counts start at 1: zero would panic the clustering stage.
     options.clustering.dim =
-        countFromArgs(args, "--dim", options.clustering.dim);
+        args.integer<unsigned>("--dim", options.clustering.dim, 1);
     options.clustering.maxK =
-        countFromArgs(args, "--max-k", options.clustering.maxK);
+        args.integer<unsigned>("--max-k", options.clustering.maxK, 1);
     options.significance =
-        args.real("--significance", options.significance);
-    if (options.significance < 0.0 || options.significance > 1.0)
-        throw UsageError("--significance must lie in [0, 1]");
+        args.real("--significance", options.significance, 0.0, 1.0);
     return options;
 }
 
@@ -464,40 +392,33 @@ int
 cmdProfile(const Args &args)
 {
     const WorkloadSpec spec = workloadSpecFromArgs(args);
-    const unsigned jobs = jobsFromArgs(args);
-    const std::string out = args.required("--output");
+    const unsigned jobs = args.integer<unsigned>("--jobs", 1, 0, kMaxJobs);
+    const std::string out = args.text("-o");
     Experiment::Config config;
     config.options.profiling =
-        parseProfilingConfig(args.optional("--profiling", "exact"));
-    args.finish();
+        parseProfilingConfig(args.text("--profiling", "exact"));
 
     Experiment experiment(spec, config, ExecutionContext(jobs));
     experiment.exportProfiles(out);
-    const auto &profiles = experiment.profiles();
+    unsigned long long instructions = 0;
+    for (const auto &profile : experiment.profiles())
+        instructions += profile.instructions();
     std::printf("profiled %s (%s): %zu regions, %llu instructions -> %s\n",
                 spec.name.c_str(),
                 config.options.profiling.describe().c_str(),
-                profiles.size(),
-                static_cast<unsigned long long>([&] {
-                    uint64_t total = 0;
-                    for (const auto &profile : profiles)
-                        total += profile.instructions();
-                    return total;
-                }()),
-                out.c_str());
+                experiment.profiles().size(), instructions, out.c_str());
     return 0;
 }
 
 int
 cmdAnalyze(const Args &args)
 {
-    const std::string in = args.required("--profile");
-    const std::string out = args.required("--output");
+    const std::string in = args.text("--profile");
+    const std::string out = args.text("-o");
     Experiment::Config config;
     config.options = analysisOptionsFromArgs(args);
     streamingFromArgs(args, config.streaming);
-    const unsigned jobs = jobsFromArgs(args);
-    args.finish();
+    const unsigned jobs = args.integer<unsigned>("--jobs", 1, 0, kMaxJobs);
 
     ProfileArtifact profile = loadProfileArtifact(in);
     // The profiles carry the mode they were collected under; adopting
@@ -523,15 +444,13 @@ cmdAnalyze(const Args &args)
 int
 cmdSimulate(const Args &args)
 {
-    const std::string in = args.required("--analysis");
-    const std::string machine_name = args.required("--machine");
-    const std::string out = args.required("--output");
+    const std::string in = args.text("--analysis");
+    const MachineConfig machine = machineByName(args.text("--machine"));
+    const std::string out = args.text("-o");
     const WarmupPolicy policy =
-        parseWarmupPolicy(args.optional("--warmup", "mru"));
-    const std::string snapshot_path = args.optional("--snapshots", "");
-    const unsigned jobs = jobsFromArgs(args);
-    args.finish();
-    const MachineConfig machine = machineByName(machine_name);
+        parseWarmupPolicy(args.text("--warmup", "mru"));
+    const std::string snapshot_path = args.text("--snapshots");
+    const unsigned jobs = args.integer<unsigned>("--jobs", 1, 0, kMaxJobs);
     if (policy == WarmupPolicy::Cold && !snapshot_path.empty())
         throw UsageError("--snapshots is only meaningful with --warmup mru");
 
@@ -576,11 +495,9 @@ cmdSimulate(const Args &args)
 int
 cmdReference(const Args &args)
 {
-    const std::string in = args.required("--analysis");
-    const std::string machine_name = args.required("--machine");
-    const std::string out = args.required("--output");
-    args.finish();
-    const MachineConfig machine = machineByName(machine_name);
+    const std::string in = args.text("--analysis");
+    const MachineConfig machine = machineByName(args.text("--machine"));
+    const std::string out = args.text("-o");
 
     const AnalysisArtifact artifact = loadAnalysisArtifact(in);
     Experiment experiment(artifact.workload);
@@ -602,10 +519,9 @@ cmdReference(const Args &args)
 int
 cmdReport(const Args &args)
 {
-    const std::string analysis_path = args.required("--analysis");
-    const std::string result_path = args.required("--result");
-    const std::string reference_path = args.optional("--reference", "");
-    args.finish();
+    const std::string analysis_path = args.text("--analysis");
+    const std::string result_path = args.text("--result");
+    const std::string reference_path = args.text("--reference");
 
     const AnalysisArtifact artifact = loadAnalysisArtifact(analysis_path);
     const RunResultArtifact result = loadRunResultArtifact(result_path);
@@ -683,23 +599,20 @@ cmdSweep(const Args &args)
     const WorkloadSpec spec = workloadSpecFromArgs(args);
     config.options = analysisOptionsFromArgs(args);
     config.options.profiling =
-        parseProfilingConfig(args.optional("--profiling", "exact"));
-    config.artifactDir = args.optional("--artifacts", "");
+        parseProfilingConfig(args.text("--profiling", "exact"));
+    config.artifactDir = args.text("--artifacts");
     streamingFromArgs(args, config.streaming);
     const WarmupPolicy policy =
-        parseWarmupPolicy(args.optional("--warmup", "mru"));
-    const unsigned jobs = jobsFromArgs(args);
-    const std::string *machines_opt = args.find("--machines");
+        parseWarmupPolicy(args.text("--warmup", "mru"));
+    const unsigned jobs = args.integer<unsigned>("--jobs", 1, 0, kMaxJobs);
     const bool with_reference = args.flag("--reference");
-    args.finish();
 
     // The experiment must exist before the default machine list can be
     // derived: a trace workload's thread count lives in the file, not
     // in the command line (the canonical spec_ has it either way).
     Experiment experiment(spec, config, ExecutionContext(jobs));
-    const std::string machines_arg =
-        machines_opt ? *machines_opt
-                     : std::to_string(experiment.spec().threads) + "-core";
+    const std::string machines_arg = args.text(
+        "--machines", std::to_string(experiment.spec().threads) + "-core");
 
     std::vector<MachineConfig> machines;
     for (size_t begin = 0; begin <= machines_arg.size();) {
@@ -752,13 +665,9 @@ int
 cmdRecord(const Args &args)
 {
     const WorkloadSpec spec = workloadSpecFromArgs(args);
-    const std::string out = args.required("--output");
-    const std::string *buffer_arg = args.find("--buffer");
-    args.finish();
+    const std::string out = args.text("-o");
     const size_t buffer_bytes =
-        buffer_arg
-            ? static_cast<size_t>(parseSizeOption("--buffer", *buffer_arg))
-            : TraceWriter::kDefaultBufferBytes;
+        args.bytes("--buffer", TraceWriter::kDefaultBufferBytes);
 
     const std::unique_ptr<Workload> workload = spec.instantiate();
     TraceWriter writer(out, workload->threadCount(), buffer_bytes);
@@ -778,9 +687,8 @@ cmdRecord(const Args &args)
 int
 cmdIngest(const Args &args)
 {
-    const std::string path = args.required("--trace");
+    const std::string path = args.text("--trace");
     const bool verify = args.flag("--verify");
-    args.finish();
 
     // A missing or corrupt file is a runtime failure (exit 1): the
     // trace is the object under inspection here, like an artifact
@@ -803,12 +711,87 @@ cmdIngest(const Args &args)
 int
 cmdDigest(const Args &args)
 {
-    const std::string path = args.required("--artifact");
-    args.finish();
+    const std::string path = args.text("--artifact");
     std::printf("%016llx  %s\n",
                 static_cast<unsigned long long>(artifactPayloadDigest(path)),
                 path.c_str());
     return 0;
+}
+
+/** Every command, in usage order: the one list of names and options. */
+const Command kCommands[] = {
+    {"profile", "profile a workload's regions (one-time cost)", cmdProfile,
+     {{"--workload", "NAME", true}, {"--threads", "N"}, {"--scale", "S"},
+      {"--seed", "X"}, {"--profiling", "exact|sampled:R|sampled_adaptive:S"},
+      {"--jobs", "J"}, {"-o", "FILE", true}}},
+    {"analyze", "select barrierpoints from a profile artifact", cmdAnalyze,
+     {{"--profile", "FILE", true}, {"--signature", "bbv|reuse_dist|combine"},
+      {"--dim", "D"}, {"--max-k", "K"}, {"--significance", "F"},
+      {"--jobs", "J"}, {"--streaming", "yes"}, {"--memory-budget", "SIZE"},
+      {"-o", "FILE", true}}},
+    {"simulate", "detailed-simulate only the barrierpoints", cmdSimulate,
+     {{"--analysis", "FILE", true}, {"--machine", "NAME", true},
+      {"--warmup", "mru|cold"}, {"--snapshots", "FILE"}, {"--jobs", "J"},
+      {"-o", "FILE", true}}},
+    {"reference", "detailed-simulate every region (the costly baseline)",
+     cmdReference,
+     {{"--analysis", "FILE", true}, {"--machine", "NAME", true},
+      {"-o", "FILE", true}}},
+    {"report", "reconstruct whole-program metrics from artifacts", cmdReport,
+     {{"--analysis", "FILE", true}, {"--result", "FILE", true},
+      {"--reference", "FILE"}}},
+    {"sweep", "profile once, simulate many machines, in one session",
+     cmdSweep,
+     {{"--workload", "NAME", true}, {"--threads", "N"}, {"--scale", "S"},
+      {"--seed", "X"}, {"--machines", "NAME,NAME,..."},
+      {"--warmup", "mru|cold"}, {"--signature", "bbv|reuse_dist|combine"},
+      {"--dim", "D"}, {"--max-k", "K"}, {"--significance", "F"},
+      {"--jobs", "J"}, {"--profiling", "exact|sampled:R|sampled_adaptive:S"},
+      {"--streaming", "yes"}, {"--memory-budget", "SIZE"},
+      {"--artifacts", "DIR"}, {"--reference", "yes"}}},
+    {"record", "record a workload's full trace to a .bptrace file",
+     cmdRecord,
+     {{"--workload", "NAME", true}, {"--threads", "N"}, {"--scale", "S"},
+      {"--seed", "X"}, {"--buffer", "SIZE"}, {"-o", "FILE", true}}},
+    {"ingest", "validate a recorded trace and print its shape", cmdIngest,
+     {{"--trace", "FILE", true}, {"--verify", "yes"}}},
+    {"digest", "print a content digest of an artifact's payload", cmdDigest,
+     {{"--artifact", "FILE", true}}},
+    {"help", "print this message (also: bp --help)", nullptr, {}},
+};
+
+std::string
+usageText()
+{
+    std::string text = "usage: bp <command> [options]\n\ncommands:\n";
+    for (const Command &command : kCommands) {
+        char head[96];
+        std::snprintf(head, sizeof head, "  %-10s %s\n", command.name,
+                      command.summary);
+        text += head;
+        // The options, wrapped at 78 columns under the summary.
+        const std::string indent(14, ' ');
+        std::string line = indent;
+        for (const Option &option : command.options) {
+            std::string word = std::string(option.key) + " " + option.value;
+            if (!option.required)
+                word = "[" + word + "]";
+            if (line != indent && line.size() + 1 + word.size() > 78) {
+                text += line + "\n";
+                line = indent;
+            }
+            line += " " + word;
+        }
+        if (line != indent)
+            text += line + "\n";
+    }
+    text += "\nworkloads: " + joined(workloadNames()) + ",\n"
+            "           or trace:<path> to replay a .bptrace recording "
+            "(see 'bp record')\n";
+    text += "machines:  " + joined(MachineConfig::knownNames()) +
+            ", or any \"<N>-core\" with N in [1, " +
+            std::to_string(kMaxCores) + "]\n";
+    return text;
 }
 
 int
@@ -818,51 +801,46 @@ bpMain(int argc, char **argv)
         std::fputs(usageText().c_str(), stderr);
         return 2;
     }
-    const std::string command = argv[1];
-    if (command == "--help" || command == "-h" || command == "help") {
+    const std::string name = argv[1];
+    const Command *command = nullptr;
+    std::vector<std::string> names;
+    for (const Command &row : kCommands) {
+        names.push_back(row.name);
+        if (name == row.name)
+            command = &row;
+    }
+    // `bp help`, `bp --help` and `bp <command> --help` print the usage.
+    // Only option-key positions count — a --help where a *value*
+    // belongs (e.g. `bp profile --workload --help`) stays a usage error.
+    const auto is_help = [](const std::string &arg) {
+        return arg == "--help" || arg == "-h";
+    };
+    bool help = (command && !command->run) || is_help(name);
+    for (int i = 2; i < argc && argv[i][0] == '-' && !help; i += 2)
+        help = is_help(argv[i]);
+    if (help) {
         std::fputs(usageText().c_str(), stdout);
         return 0;
     }
-    // `bp <command> --help` is the conventional spelling; honor it
-    // before Args insists every --option carries a value. Only
-    // option-key positions count — a --help where a *value* belongs
-    // (e.g. `bp profile --workload --help`) stays a usage error.
-    for (int i = 2; i < argc; i += 2) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            std::fputs(usageText().c_str(), stdout);
-            return 0;
-        }
-        if (arg.rfind("--", 0) != 0 && arg != "-o")
-            break;
-    }
     try {
-        const Args args(argc - 2, argv + 2);
-        if (command == "profile")
-            return cmdProfile(args);
-        if (command == "analyze")
-            return cmdAnalyze(args);
-        if (command == "simulate")
-            return cmdSimulate(args);
-        if (command == "reference")
-            return cmdReference(args);
-        if (command == "report")
-            return cmdReport(args);
-        if (command == "sweep")
-            return cmdSweep(args);
-        if (command == "record")
-            return cmdRecord(args);
-        if (command == "ingest")
-            return cmdIngest(args);
-        if (command == "digest")
-            return cmdDigest(args);
-        throw UsageError("unknown command '" + command +
-                         "' (profile, analyze, simulate, reference, "
-                         "report, sweep, record, ingest, digest)");
+        if (!command)
+            throw UsageError("unknown command '" + name + "' (" +
+                             joined(names) + ")");
+        return command->run(Args(*command, argc - 2, argv + 2));
     } catch (const UsageError &error) {
         std::fprintf(stderr, "bp: %s\n(try 'bp --help')\n", error.what());
         return 2;
     } catch (const std::exception &error) {
+        // An absurd size (say --scale 1e300) fails deep in the
+        // pipeline: name the command line that asked for it.
+        if (dynamic_cast<const std::bad_alloc *>(&error) ||
+            dynamic_cast<const std::length_error *>(&error)) {
+            std::string line = "bp";
+            for (int i = 1; i < argc; ++i)
+                line += std::string(" ") + argv[i];
+            fatal("out of memory (%s) running '%s'", error.what(),
+                  line.c_str());
+        }
         fatal("%s", error.what());
     }
 }
