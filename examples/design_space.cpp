@@ -39,10 +39,12 @@ main(int argc, char **argv)
     WorkloadSpec base_spec;
     base_spec.name = name;
     base_spec.threads = 8;
+    Experiment::Config config;
+    config.artifactDir = artifact_dir;
 
     // One-time analysis at the base thread count, persisted once.
     {
-        Experiment base(base_spec, {.artifactDir = artifact_dir});
+        Experiment base(base_spec, config);
         base.analysis();
         std::printf("%s: %zu barrierpoints selected once (8-thread "
                     "signatures), cached in %s/\n\n",
@@ -52,7 +54,7 @@ main(int argc, char **argv)
 
     // A second session on the same directory: the analysis reloads
     // from disk — this is what each independent batch job would do.
-    Experiment resumed(base_spec, {.artifactDir = artifact_dir});
+    Experiment resumed(base_spec, config);
     const BarrierPointAnalysis &analysis = resumed.analysis();
 
     std::printf("%-8s %14s %14s %10s %12s\n", "cores", "predicted(ms)",

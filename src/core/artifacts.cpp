@@ -1,8 +1,5 @@
 #include "src/core/artifacts.h"
 
-#include <algorithm>
-#include <bit>
-
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
 #include "src/trace/micro_op.h"
@@ -325,160 +322,6 @@ artifactPayloadDigest(const std::string &path)
         break;
     }
     return fnv1aHash(s.buffer().data(), s.buffer().size());
-}
-
-// ------------------------------------------------------ signature spill
-
-namespace {
-
-constexpr uint32_t kSpillMagic = 0x42505350u;  // "PSPB" little-endian
-constexpr uint32_t kSpillVersion = 1;
-constexpr long kSpillHeaderBytes = 24;
-constexpr long kSpillCountOffset = 16;
-
-} // namespace
-
-SignatureSpillWriter::SignatureSpillWriter(const std::string &path,
-                                           unsigned dim)
-    : path_(path), dim_(dim)
-{
-    if (dim_ == 0)
-        throw SerializeError("signature spill requires dim > 0");
-    encoded_.resize(size_t{dim_} * sizeof(double));
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_)
-        throw SerializeError("cannot create signature spill file '" +
-                             path + "'");
-    uint8_t header[kSpillHeaderBytes] = {};
-    storeLe(header, kSpillMagic, 4);
-    storeLe(header + 4, kSpillVersion, 4);
-    storeLe(header + 8, dim_, 4);
-    storeLe(header + kSpillCountOffset, 0, 8);  // patched on close()
-    if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SerializeError("cannot write signature spill header to '" +
-                             path + "'");
-    }
-}
-
-SignatureSpillWriter::~SignatureSpillWriter()
-{
-    if (!file_)
-        return;
-    try {
-        close();
-    } catch (const SerializeError &) {
-        // Best effort only; an unreadable spill is rejected on load.
-    }
-}
-
-void
-SignatureSpillWriter::append(const double *point)
-{
-    BP_ASSERT(file_, "append() on a closed signature spill");
-    for (unsigned d = 0; d < dim_; ++d)
-        storeLe(encoded_.data() + d * sizeof(double),
-                std::bit_cast<uint64_t>(point[d]), 8);
-    if (std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
-        encoded_.size())
-        throw SerializeError("short write to signature spill '" + path_ +
-                             "'");
-    ++count_;
-}
-
-void
-SignatureSpillWriter::close()
-{
-    if (!file_)
-        return;
-    std::FILE *file = file_;
-    file_ = nullptr;
-    uint8_t le[8];
-    storeLe(le, count_, 8);
-    const bool ok = std::fseek(file, kSpillCountOffset, SEEK_SET) == 0 &&
-                    std::fwrite(le, 1, sizeof(le), file) == sizeof(le) &&
-                    std::fflush(file) == 0;
-    if (std::fclose(file) != 0 || !ok)
-        throw SerializeError("cannot finalize signature spill '" + path_ +
-                             "'");
-}
-
-SignatureSpillReader::SignatureSpillReader(const std::string &path)
-{
-    file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        throw SerializeError("cannot open signature spill file '" + path +
-                             "'");
-    uint8_t header[kSpillHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SerializeError("signature spill '" + path +
-                             "' is too short for its header");
-    }
-    const uint64_t magic = loadLe(header, 4);
-    const uint64_t version = loadLe(header + 4, 4);
-    dim_ = static_cast<unsigned>(loadLe(header + 8, 4));
-    count_ = loadLe(header + kSpillCountOffset, 8);
-    bool bad = magic != kSpillMagic || version != kSpillVersion ||
-               dim_ == 0;
-    if (!bad) {
-        // The advertised count must match the bytes actually present:
-        // a crashed writer (count still 0) or a truncated copy is
-        // detected here instead of surfacing as garbage points. Divide
-        // rather than multiply, so that no count can wrap around to
-        // the size on disk.
-        bad = std::fseek(file_, 0, SEEK_END) != 0;
-        if (!bad) {
-            const long size = std::ftell(file_);
-            const uint64_t point_bytes = uint64_t{dim_} * sizeof(double);
-            const uint64_t payload =
-                static_cast<uint64_t>(size - kSpillHeaderBytes);
-            bad = size < kSpillHeaderBytes || payload % point_bytes != 0 ||
-                  payload / point_bytes != count_;
-        }
-    }
-    if (bad) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SerializeError("signature spill '" + path +
-                             "' is corrupt or truncated");
-    }
-    rewind();
-}
-
-SignatureSpillReader::~SignatureSpillReader()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-size_t
-SignatureSpillReader::read(double *out, size_t max_points)
-{
-    const uint64_t remaining = count_ - position_;
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(max_points, remaining));
-    if (want == 0)
-        return 0;
-    const size_t doubles = want * dim_;
-    if (std::fread(out, sizeof(double), doubles, file_) != doubles)
-        throw SerializeError("short read from signature spill");
-    // Decode the little-endian images in place.
-    const auto *bytes = reinterpret_cast<const uint8_t *>(out);
-    for (size_t i = 0; i < doubles; ++i)
-        out[i] = std::bit_cast<double>(loadLe(bytes + i * sizeof(double), 8));
-    position_ += want;
-    return want;
-}
-
-void
-SignatureSpillReader::rewind()
-{
-    if (std::fseek(file_, kSpillHeaderBytes, SEEK_SET) != 0)
-        throw SerializeError("cannot seek in signature spill");
-    position_ = 0;
 }
 
 } // namespace bp

@@ -20,7 +20,6 @@
 #ifndef BP_CORE_ARTIFACTS_H
 #define BP_CORE_ARTIFACTS_H
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,86 +172,6 @@ RunResultArtifact loadRunResultArtifact(const std::string &path);
  * first: throws SerializeError like the loaders.
  */
 uint64_t artifactPayloadDigest(const std::string &path);
-
-/**
- * Append-only spill file of projected signature points — the
- * streaming analyzer's disk-backed point store for runs whose
- * signatures do not fit the memory budget (core/streaming.h).
- *
- * Unlike the framed artifacts above, the spill is written
- * incrementally (one point per region as it is consumed) and
- * re-read several times by the clustering passes, so it uses its own
- * minimal layout instead of the buffer-then-checksum framing: a
- * fixed header (magic, version, dim, point count — the count patched
- * in on close) followed by count x dim doubles as little-endian
- * IEEE-754 images, encoded and decoded by support/serialize.h's
- * storeLe()/loadLe() like every other file. Points round-trip
- * bit-exactly on any host; the point's file position is its region
- * index (regions arrive in index order). Truncation and header
- * corruption surface as SerializeError.
- */
-class SignatureSpillWriter
-{
-  public:
-    /** Create/overwrite @p path; throws SerializeError on I/O error. */
-    SignatureSpillWriter(const std::string &path, unsigned dim);
-    /** Closes quietly (best effort) when close() was never called. */
-    ~SignatureSpillWriter();
-
-    SignatureSpillWriter(const SignatureSpillWriter &) = delete;
-    SignatureSpillWriter &operator=(const SignatureSpillWriter &) = delete;
-
-    /** Append one point of dim() doubles. */
-    void append(const double *point);
-
-    /** Flush, patch the header's point count, and close the file. */
-    void close();
-
-    unsigned dim() const { return dim_; }
-    uint64_t count() const { return count_; }
-
-  private:
-    std::FILE *file_ = nullptr;
-    std::string path_;
-    unsigned dim_ = 0;
-    uint64_t count_ = 0;
-    std::vector<uint8_t> encoded_;  ///< one point's little-endian bytes
-};
-
-/** Bounds-checked reader over a finished signature spill file. */
-class SignatureSpillReader
-{
-  public:
-    /**
-     * Open and validate @p path: magic, version, and that the file
-     * holds exactly the advertised count x dim doubles (a truncated
-     * or over-long file is rejected).
-     */
-    explicit SignatureSpillReader(const std::string &path);
-    ~SignatureSpillReader();
-
-    SignatureSpillReader(const SignatureSpillReader &) = delete;
-    SignatureSpillReader &operator=(const SignatureSpillReader &) = delete;
-
-    unsigned dim() const { return dim_; }
-    uint64_t count() const { return count_; }
-
-    /**
-     * Read up to @p max_points points (sequentially from the current
-     * position) into @p out, which must hold max_points x dim
-     * doubles. @return the number of points read (0 at end).
-     */
-    size_t read(double *out, size_t max_points);
-
-    /** Rewind to the first point (for the next clustering pass). */
-    void rewind();
-
-  private:
-    std::FILE *file_ = nullptr;
-    unsigned dim_ = 0;
-    uint64_t count_ = 0;
-    uint64_t position_ = 0;  ///< points consumed since rewind
-};
 
 } // namespace bp
 

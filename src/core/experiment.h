@@ -84,8 +84,9 @@ class Experiment
          * analysis() drives the profiler through a StreamingAnalyzer
          * sink — profiles are projected and dropped region by region,
          * never materialized (and no profile artifact is written),
-         * with signature points spilled to disk when they exceed the
-         * memory budget (spillDir defaults to artifactDir when set).
+         * with signature points spilled to an unlinked scratch file
+         * when they exceed the memory budget (spillDir defaults to
+         * artifactDir when set; the spill never shows up there).
          * streamingHash() is folded into the analysis artifact key,
          * so streaming and batch artifacts of the same options never
          * collide. Downstream stages (snapshots, simulate, sweep) are

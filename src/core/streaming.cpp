@@ -1,7 +1,7 @@
 #include "src/core/streaming.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
 
@@ -21,17 +21,32 @@ constexpr uint64_t kReservoirStride = 0x9E3779B97F4A7C15ull;
 /** Mini-batch training passes over the point stream. */
 constexpr unsigned kEpochs = 2;
 
-std::string
-makeSpillPath(const std::string &dir)
+/**
+ * An anonymous read/write scratch file under @p dir ("" = the system
+ * temp directory). mkstemp() creates it exclusively with mode 0600,
+ * so it never follows a planted link, and the immediate unlink()
+ * leaves no name another process can open or a killed run can leave
+ * behind.
+ */
+std::FILE *
+openScratchFile(const std::string &dir)
 {
-    static std::atomic<uint64_t> counter{0};
-    std::filesystem::path base = dir.empty()
-        ? std::filesystem::temp_directory_path()
-        : std::filesystem::path(dir);
-    const std::string leaf = "bp-stream-" +
-        std::to_string(static_cast<unsigned long long>(::getpid())) + "-" +
-        std::to_string(counter.fetch_add(1)) + ".spill";
-    return (base / leaf).string();
+    std::error_code ec;
+    const std::filesystem::path base =
+        dir.empty() ? std::filesystem::temp_directory_path(ec)
+                    : std::filesystem::path(dir);
+    std::string path = (base / "bp-stream-XXXXXX").string();
+    const int fd = ec ? -1 : ::mkstemp(path.data());
+    if (fd < 0)
+        throw SerializeError("cannot create a signature spill in '" +
+                             base.string() + "'");
+    ::unlink(path.c_str());
+    std::FILE *file = ::fdopen(fd, "w+b");
+    if (!file) {
+        ::close(fd);
+        throw SerializeError("cannot open the signature spill");
+    }
+    return file;
 }
 
 uint64_t
@@ -93,28 +108,16 @@ StreamingAnalyzer::StreamingAnalyzer(unsigned region_count,
     regionInstructions_.reserve(regionCount_);
     weights_.reserve(regionCount_);
     reservoir_.reserve(reservoirCap_);
-    if (inMemory_) {
+    if (inMemory_)
         points_.reserve(uint64_t{regionCount_} * dim_);
-    } else {
-        spillPath_ = makeSpillPath(config_.spillDir);
-        spill_ = std::make_unique<SignatureSpillWriter>(spillPath_, dim_);
-    }
+    else
+        spill_ = openScratchFile(config_.spillDir);
 }
 
 StreamingAnalyzer::~StreamingAnalyzer()
 {
-    spill_.reset();  // close before unlink
-    removeSpill();
-}
-
-void
-StreamingAnalyzer::removeSpill()
-{
-    if (spillPath_.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::remove(spillPath_, ec);  // best effort
-    spillPath_.clear();
+    if (spill_)
+        std::fclose(spill_);
 }
 
 void
@@ -160,8 +163,8 @@ StreamingAnalyzer::consume(RegionProfile &&profile)
     offerToReservoir(profile.regionIndex, weight, point);
     if (inMemory_)
         points_.insert(points_.end(), point.begin(), point.end());
-    else
-        spill_->append(point.data());
+    else if (std::fwrite(point.data(), sizeof(double), dim_, spill_) != dim_)
+        throw SerializeError("short write to the signature spill");
 
     regionInstructions_.push_back(instructions);
     weights_.push_back(weight);
@@ -176,23 +179,22 @@ StreamingAnalyzer::forEachBatch(
     // Not consumed(): finish() moves regionInstructions_ into the
     // analysis before the final assignment sweep, which would zero it.
     const uint64_t n = regionCount_;
-    if (inMemory_) {
-        for (uint64_t first = 0; first < n; first += batch_) {
-            const size_t count = static_cast<size_t>(
-                std::min<uint64_t>(batch_, n - first));
-            fn(points_.data() + first * dim_,
-               static_cast<uint32_t>(first), count);
-        }
-        return;
+    std::vector<double> buffer;
+    if (!inMemory_) {
+        buffer.resize(uint64_t{batch_} * dim_);
+        if (std::fseek(spill_, 0, SEEK_SET) != 0)
+            throw SerializeError("cannot rewind the signature spill");
     }
-    SignatureSpillReader reader(spillPath_);
-    BP_ASSERT(reader.count() == n && reader.dim() == dim_,
-              "signature spill does not match the consumed stream");
-    std::vector<double> buffer(uint64_t{batch_} * dim_);
-    uint64_t first = 0;
-    while (const size_t got = reader.read(buffer.data(), batch_)) {
-        fn(buffer.data(), static_cast<uint32_t>(first), got);
-        first += got;
+    for (uint64_t first = 0; first < n; first += batch_) {
+        const size_t count = static_cast<size_t>(
+            std::min<uint64_t>(batch_, n - first));
+        const double *points = buffer.data();
+        if (inMemory_)
+            points = points_.data() + first * dim_;
+        else if (std::fread(buffer.data(), sizeof(double), count * dim_,
+                            spill_) != count * dim_)
+            throw SerializeError("short read from the signature spill");
+        fn(points, static_cast<uint32_t>(first), count);
     }
 }
 
@@ -203,10 +205,6 @@ StreamingAnalyzer::finish()
     BP_ASSERT(consumed() == regionCount_,
               "finish() before every region arrived");
     finished_ = true;
-
-    if (spill_)
-        spill_->close();
-    spill_.reset();
 
     ThreadPool &pool = exec_.pool();
     const uint64_t n = consumed();
@@ -341,7 +339,9 @@ StreamingAnalyzer::finish()
 
     points_.clear();
     points_.shrink_to_fit();
-    removeSpill();
+    if (spill_)
+        std::fclose(spill_);
+    spill_ = nullptr;
     return analysis;
 }
 

@@ -10,13 +10,12 @@
  * RegionProfileSink that consumes profiles as the profiler produces
  * them: each region is projected to its dense signature point
  * immediately (the profile is then dropped), the point goes to a
- * bounded in-memory store or an on-disk spill file
- * (core/artifacts.h SignatureSpillWriter), and clustering runs as
- * mini-batch k-means (core/kmeans.h MiniBatchLloyd) seeded by a full
- * Lloyd run on a bottom-k reservoir sample — same BIC-over-k model
- * selection, same representative-selection policy
- * (core/selection.h ClusterSelectionState), O(k + batch + reservoir)
- * resident state.
+ * bounded in-memory store or to an unlinked scratch file, and
+ * clustering runs as mini-batch k-means (core/kmeans.h
+ * MiniBatchLloyd) seeded by a full Lloyd run on a bottom-k reservoir
+ * sample — same BIC-over-k model selection, same
+ * representative-selection policy (core/selection.h
+ * ClusterSelectionState), O(k + batch + reservoir) resident state.
  *
  * What stays in RAM regardless of region count: per-region
  * instruction counts and weights (16 bytes/region — they are part of
@@ -49,12 +48,11 @@
 #define BP_CORE_STREAMING_H
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/core/artifacts.h"
 #include "src/core/kmeans.h"
 #include "src/core/pipeline.h"
 #include "src/core/selection.h"
@@ -81,9 +79,10 @@ struct StreamingConfig
     unsigned reservoirSize = 0;
 
     /**
-     * Directory for the signature spill file; "" uses the system temp
-     * directory. bp::Experiment defaults it to its artifactDir. The
-     * location never changes results.
+     * Directory that holds the signature spill; "" uses the system
+     * temp directory. bp::Experiment defaults it to its artifactDir.
+     * The spill is unlinked as soon as it is created, so it never
+     * shows up as a name there. The location never changes results.
      */
     std::string spillDir;
 };
@@ -120,6 +119,9 @@ class StreamingAnalyzer : public RegionProfileSink
                       ExecutionContext exec = {});
     ~StreamingAnalyzer() override;
 
+    StreamingAnalyzer(const StreamingAnalyzer &) = delete;
+    StreamingAnalyzer &operator=(const StreamingAnalyzer &) = delete;
+
     /** Project, sample, store, drop. Regions must arrive in order. */
     void consume(RegionProfile &&profile) override;
 
@@ -130,7 +132,7 @@ class StreamingAnalyzer : public RegionProfileSink
     unsigned batchSize() const { return batch_; }
     /** Effective (possibly budget-derived) reservoir capacity. */
     unsigned reservoirCapacity() const { return reservoirCap_; }
-    /** True when points go to the on-disk spill, not RAM. */
+    /** True when points go to the scratch file, not RAM. */
     bool spillsToDisk() const { return !inMemory_; }
     /** Regions consumed so far. */
     uint64_t consumed() const { return regionInstructions_.size(); }
@@ -156,8 +158,6 @@ class StreamingAnalyzer : public RegionProfileSink
     void forEachBatch(
         const std::function<void(const double *, uint32_t, size_t)> &fn);
 
-    void removeSpill();
-
     BarrierPointOptions options_;
     StreamingConfig config_;
     ExecutionContext exec_;
@@ -178,9 +178,12 @@ class StreamingAnalyzer : public RegionProfileSink
     /** In-memory point store (consumed() x dim_, flat). */
     std::vector<double> points_;
 
-    /** Spill store (when the points exceed the budget). */
-    std::string spillPath_;
-    std::unique_ptr<SignatureSpillWriter> spill_;
+    /**
+     * Spill store (when the points exceed the budget): an unlinked
+     * scratch file of consumed() x dim_ doubles in host byte order.
+     * It never leaves this process, so it has no header or format.
+     */
+    std::FILE *spill_ = nullptr;
 };
 
 /**

@@ -2,9 +2,8 @@
  * @file
  * parseByteSize: the one parser for human-readable byte sizes.
  *
- * Both CLI knobs that take sizes (`--memory-budget`, `bp record
- * --buffer`) funnel through here, so "what counts as a size" is
- * defined exactly once.
+ * The CLI's size option (`--memory-budget`) funnels through here, so
+ * "what counts as a size" is defined exactly once.
  */
 
 #ifndef BP_SUPPORT_BYTE_SIZE_H

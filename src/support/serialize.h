@@ -4,10 +4,9 @@
  * the versioned binary (de)serialization of on-disk artifacts.
  *
  * storeLe()/loadLe() and fnv1aHash() are the only places the program
- * spells its byte order and its checksum: the artifact framing below,
- * the signature spill (core/artifacts.h) and the `.bptrace` trace
- * format (trace_io/trace_format.h) all go through them, so the three
- * formats cannot drift apart.
+ * spells its byte order and its checksum: the artifact framing below
+ * and the `.bptrace` trace format (trace_io/trace_format.h) both go
+ * through them, so the two formats cannot drift apart.
  *
  * The byte format is endian-stable (everything is written as
  * little-endian byte sequences regardless of host order), integers

@@ -36,13 +36,13 @@
  *   [trailer, 8 bytes]
  *     u64 checksum       FNV-1a over the raw index bytes
  *
- * Within a region, records from different threads may interleave in
- * chunks (the writer flushes per-thread append buffers when they
- * fill), but each thread's own records appear in program order; the
- * region ends with exactly one Barrier marker per thread, in thread
- * order. Every byte of the file is covered by one of the three
- * checksums, so any corruption — header, payload, or index — is
- * detected with a typed error.
+ * Within a region, records from different threads may interleave
+ * (the writer keeps them in the order they were appended), but each
+ * thread's own records appear in program order; the region ends with
+ * exactly one Barrier marker per thread, in thread order. Every byte
+ * of the file is covered by one of the three checksums, so any
+ * corruption — header, payload, or index — is detected with a typed
+ * error.
  *
  * See docs/trace_format.md for the normative byte-level spec.
  */

@@ -1,25 +1,26 @@
 #include "src/trace_io/trace_writer.h"
 
-#include <algorithm>
-
 #include "src/support/core_set.h"
 #include "src/support/logging.h"
 
 namespace bp {
 
-TraceWriter::TraceWriter(const std::string &path, unsigned thread_count,
-                         size_t buffer_bytes)
+namespace {
+
+/** Append-buffer capacity: a whole number of records. */
+constexpr size_t kBufferBytes = size_t{1} << 20;
+static_assert(kBufferBytes % kTraceRecordBytes == 0);
+
+} // namespace
+
+TraceWriter::TraceWriter(const std::string &path, unsigned thread_count)
     : path_(path), threads_(thread_count)
 {
     if (threads_ < 1 || threads_ > kMaxCores)
         throw TraceError("trace thread count must be in [1, " +
                          std::to_string(kMaxCores) + "], got " +
                          std::to_string(threads_));
-    capacityBytes_ = std::max(buffer_bytes, kTraceRecordBytes);
-    capacityBytes_ -= capacityBytes_ % kTraceRecordBytes;
-    buffers_.resize(threads_);
-    for (auto &buffer : buffers_)
-        buffer.reserve(capacityBytes_);
+    buffer_.reserve(kBufferBytes);
 
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
@@ -50,22 +51,25 @@ TraceWriter::~TraceWriter()
 }
 
 void
-TraceWriter::writeRecordBytes(const uint8_t *bytes, size_t size)
+TraceWriter::flush()
 {
-    if (std::fwrite(bytes, 1, size, file_) != size)
+    if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
+        buffer_.size())
         throw TraceError("short write to trace file '" + path_ + "'");
-    regionFnv_ = fnv1aHash(bytes, size, regionFnv_);
-    fileOffset_ += size;
+    regionFnv_ = fnv1aHash(buffer_.data(), buffer_.size(), regionFnv_);
+    fileOffset_ += buffer_.size();
+    buffer_.clear();
 }
 
 void
-TraceWriter::flushThread(unsigned tid)
+TraceWriter::push(const TraceRecord &record)
 {
-    std::vector<uint8_t> &buffer = buffers_[tid];
-    if (buffer.empty())
-        return;
-    writeRecordBytes(buffer.data(), buffer.size());
-    buffer.clear();
+    const size_t at = buffer_.size();
+    buffer_.resize(at + kTraceRecordBytes);
+    encodeTraceRecord(buffer_.data() + at, record);
+    ++totalRecords_;
+    if (buffer_.size() == kBufferBytes)
+        flush();
 }
 
 void
@@ -73,37 +77,27 @@ TraceWriter::append(unsigned tid, const MicroOp &op)
 {
     BP_ASSERT(file_, "append() on a closed TraceWriter");
     BP_ASSERT(tid < threads_, "trace record tid out of range");
-    std::vector<uint8_t> &buffer = buffers_[tid];
     TraceRecord record;
     record.addr = op.addr;
     record.bb = op.bb;
     record.tid = static_cast<uint16_t>(tid);
     record.kind = static_cast<uint8_t>(op.kind);
-    const size_t at = buffer.size();
-    buffer.resize(at + kTraceRecordBytes);
-    encodeTraceRecord(buffer.data() + at, record);
-    ++totalRecords_;
-    if (buffer.size() >= capacityBytes_)
-        flushThread(tid);
+    push(record);
 }
 
 void
 TraceWriter::endRegion()
 {
     BP_ASSERT(file_, "endRegion() on a closed TraceWriter");
-    for (unsigned tid = 0; tid < threads_; ++tid)
-        flushThread(tid);
     // One barrier marker per thread, in thread order, closes the
     // region: the reader checks for exactly this trailer.
     for (unsigned tid = 0; tid < threads_; ++tid) {
         TraceRecord barrier;
         barrier.tid = static_cast<uint16_t>(tid);
         barrier.kind = kTraceKindBarrier;
-        uint8_t bytes[kTraceRecordBytes];
-        encodeTraceRecord(bytes, barrier);
-        writeRecordBytes(bytes, sizeof(bytes));
-        ++totalRecords_;
+        push(barrier);
     }
+    flush();
     TraceRegionIndexEntry entry;
     entry.offset = regionStart_;
     entry.count = (fileOffset_ - regionStart_) / kTraceRecordBytes;
@@ -132,10 +126,9 @@ TraceWriter::close()
         return;
     std::FILE *file = file_;
     file_ = nullptr;
-    bool ok = true;
-    for (unsigned tid = 0; tid < threads_ && ok; ++tid)
-        ok = buffers_[tid].empty();
-    if (!ok) {
+    // Any record since the last endRegion(), buffered or already
+    // written, leaves the region open.
+    if (fileOffset_ + buffer_.size() != regionStart_) {
         std::fclose(file);
         throw TraceError("close() with an open region on trace '" + path_ +
                          "' (call endRegion() first)");
@@ -143,6 +136,7 @@ TraceWriter::close()
 
     const uint64_t index_offset = fileOffset_;
     uint64_t index_fnv = kFnv1aBasis;
+    bool ok = true;
     for (const TraceRegionIndexEntry &entry : index_) {
         uint8_t bytes[kTraceIndexEntryBytes];
         storeLe(bytes, entry.offset, 8);

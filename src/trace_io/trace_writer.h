@@ -2,29 +2,28 @@
  * @file
  * TraceWriter: record micro-op streams into a `.bptrace` file.
  *
- * Modelled on COREMU's memtrace logger (cm-memtrace.c): each thread
- * owns an append buffer of encoded records that is flushed to the
- * file when it fills, so recording is a bump-pointer store on the hot
- * path and I/O happens in large sequential chunks. Unlike COREMU the
- * writer is driven by one recording thread (the `bp record` loop
- * feeds it region by region), so flushes need no synchronization; the
- * per-thread buffers exist for batching and to exercise the
- * interleaved-chunk framing the reader must demultiplex.
+ * One thread drives the writer (the `bp record` loop feeds it region
+ * by region), so it keeps one append buffer: append() encodes each
+ * record into it in call order, recording is a bump-pointer store on
+ * the hot path, and I/O happens in 1 MB sequential chunks.
+ * appendRegion() appends each thread's stream whole, in thread order;
+ * records of different threads interleave in the file only when they
+ * were appended interleaved, and the reader demultiplexes them by tid.
  *
- * endRegion() flushes every buffer (in thread order), appends one
- * Barrier marker per thread, and records the region's index entry —
- * offset, record count, and an incrementally maintained FNV-1a
- * checksum of the region's bytes. close() writes the region index and
- * its trailer checksum, then patches the header with the final region
- * count, index offset, and header checksum. A file that never reached
- * close() keeps its deliberately invalid initial header and is
- * rejected by TraceReader — a crashed recording can never replay as a
- * short-but-valid trace.
+ * endRegion() appends one Barrier marker per thread, flushes the
+ * buffer, and records the region's index entry — offset, record
+ * count, and an incrementally maintained FNV-1a checksum of the
+ * region's bytes. close() refuses a region left open, then writes the
+ * region index and its trailer checksum and patches the header with
+ * the final region count, index offset, and header checksum. A file
+ * that never reached close() keeps its deliberately invalid initial
+ * header and is rejected by TraceReader — a crashed recording can
+ * never replay as a short-but-valid trace.
  *
  * Concurrency contract (docs/concurrency.md): one recording thread
- * per writer, no locks; the per-thread buffers batch per *simulated*
- * thread. Record to distinct files from distinct threads. TraceReader
- * is read-only over an mmap and safe to share once opened.
+ * per writer, no locks. Record to distinct files from distinct
+ * threads. TraceReader is read-only over an mmap and safe to share
+ * once opened.
  */
 
 #ifndef BP_TRACE_IO_TRACE_WRITER_H
@@ -43,16 +42,11 @@ namespace bp {
 class TraceWriter
 {
   public:
-    /** Per-thread append-buffer capacity when none is given (1 MB). */
-    static constexpr size_t kDefaultBufferBytes = 1 << 20;
-
     /**
-     * Create/overwrite @p path for @p thread_count threads. Each
-     * thread's append buffer holds @p buffer_bytes of encoded records
-     * (at least one record). Throws TraceError on I/O failure.
+     * Create/overwrite @p path for @p thread_count threads. Throws
+     * TraceError on I/O failure.
      */
-    TraceWriter(const std::string &path, unsigned thread_count,
-                size_t buffer_bytes = kDefaultBufferBytes);
+    TraceWriter(const std::string &path, unsigned thread_count);
 
     /** Best-effort close() when none happened; errors are swallowed
      *  (the unpatched header keeps the file rejectable). */
@@ -64,13 +58,17 @@ class TraceWriter
     /** Append one op of thread @p tid to the current region. */
     void append(unsigned tid, const MicroOp &op);
 
-    /** Flush all buffers, emit barrier markers, index the region. */
+    /** Emit barrier markers, flush the buffer, index the region. */
     void endRegion();
 
     /** Convenience: append every thread's stream, then endRegion(). */
     void appendRegion(const RegionTrace &region);
 
-    /** Finalize: write the index + trailer and patch the header. */
+    /**
+     * Finalize: write the index + trailer and patch the header.
+     * Throws TraceError when any record was appended after the last
+     * endRegion(), buffered or already written.
+     */
     void close();
 
     unsigned threadCount() const { return threads_; }
@@ -81,15 +79,15 @@ class TraceWriter
     uint64_t fileBytes() const { return fileBytes_; }
 
   private:
-    void flushThread(unsigned tid);
-    /** fwrite @p bytes, folding them into the region checksum. */
-    void writeRecordBytes(const uint8_t *bytes, size_t size);
+    /** Encode @p record into the buffer; flush it when full. */
+    void push(const TraceRecord &record);
+    /** fwrite the buffer, folding it into the region checksum. */
+    void flush();
 
     std::FILE *file_ = nullptr;
     std::string path_;
     unsigned threads_ = 0;
-    size_t capacityBytes_ = 0;
-    std::vector<std::vector<uint8_t>> buffers_;  ///< encoded records
+    std::vector<uint8_t> buffer_;  ///< encoded records, in append order
     std::vector<TraceRegionIndexEntry> index_;
     uint64_t fileOffset_ = kTraceHeaderBytes;
     uint64_t regionStart_ = kTraceHeaderBytes;

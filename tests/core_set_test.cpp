@@ -64,8 +64,9 @@ TEST(CoreSetTest, WordBoundaryBits)
         if (bit > 0) {
             EXPECT_FALSE(s.test(bit - 1)) << bit;
         }
-        if (bit + 1 < Wide::kBits)
+        if (bit + 1 < Wide::kBits) {
             EXPECT_FALSE(s.test(bit + 1)) << bit;
+        }
         EXPECT_FALSE(s.anyOtherThan(bit)) << bit;
         s.clear(bit);
         EXPECT_TRUE(s.none()) << bit;

@@ -313,12 +313,14 @@ TEST(IntrusiveLruTest, RandomizedAgainstListReference)
             ref.remove(key);
             break;
           case 7:  // forced eviction
-            if (!ref.order.empty())
+            if (!ref.order.empty()) {
                 EXPECT_EQ(dut.evict(), ref.evict());
+            }
             break;
           default:  // LRU touch with capacity bound (the common case)
-            if (!ref.contains(key) && ref.order.size() >= capacity)
+            if (!ref.contains(key) && ref.order.size() >= capacity) {
                 EXPECT_EQ(dut.evict(), ref.evict());
+            }
             dut.touch(key);
             ref.touch(key);
             break;

@@ -60,8 +60,9 @@ TEST_P(BenchmarkIntegrationTest, FarFewerPointsThanRegions)
     const auto wl = makeWorkload(GetParam(), smallParams(4));
     const auto analysis = analyzeWorkload(*wl);
     EXPECT_LE(analysis.points.size(), 20u);
-    if (wl->regionCount() > 40)
+    if (wl->regionCount() > 40) {
         EXPECT_LT(analysis.points.size(), wl->regionCount() / 2);
+    }
 }
 
 TEST_P(BenchmarkIntegrationTest, ReferenceRunIsDeterministic)

@@ -621,8 +621,9 @@ TEST_P(CoherenceRandomTest, SingleWriterInvariant)
                 ++holders;
         }
         ASSERT_LE(modified_holders, 1u);
-        if (modified_holders == 1)
+        if (modified_holders == 1) {
             ASSERT_EQ(holders, 1u);
+        }
     }
 }
 

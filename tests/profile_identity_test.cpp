@@ -45,7 +45,7 @@ TEST(ProfileIdentityTest, MruTrackerMatchesReferenceOpByOp)
 {
     // Small capacities force constant eviction through both windows;
     // invalidation and downgrade fire as in coherence-aware capture.
-    for (const auto [capacity, priv] :
+    for (const auto &[capacity, priv] :
          {std::pair<uint64_t, uint64_t>{8, 4},
           {64, 8}, {16, 32} /* private window wider than main */}) {
         MruTracker dut(capacity, priv);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the streaming bounded-memory analysis: signature spill
- * round-trips, mini-batch k-means invariants, sink delivery order,
- * the thread-count and spill-vs-in-memory bit-identity contracts,
- * Experiment integration, the streaming-vs-batch accuracy bound on
+ * Tests for the streaming bounded-memory analysis: mini-batch k-means
+ * invariants, sink delivery order, the thread-count and
+ * spill-vs-in-memory bit-identity contracts, the spill's anonymity (no
+ * name in spillDir, no planted link followed), Experiment
+ * integration, the streaming-vs-batch accuracy bound on
  * every registered workload, and the memory wall: under a 256 MB
  * address-space limit, streaming finishes 150k regions that batch
  * cannot hold.
@@ -11,15 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <new>
 #include <string>
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "src/core/barrierpoint.h"
 #include "src/core/streaming.h"
@@ -58,117 +62,6 @@ expectAnalysisBitEqual(const BarrierPointAnalysis &a,
     for (size_t k = 0; k < a.bicByK.size(); ++k)
         expectBitEqual(a.bicByK[k], b.bicByK[k]);
     EXPECT_EQ(a.chosenK, b.chosenK);
-}
-
-std::string
-tempPath(const std::string &leaf)
-{
-    return ::testing::TempDir() + leaf;
-}
-
-// ------------------------------------------------------------ spill file
-
-TEST(SignatureSpillTest, RoundTripIsBitExact)
-{
-    const std::string path = tempPath("spill_roundtrip.spill");
-    constexpr unsigned dim = 7;
-    constexpr size_t n = 300;
-    Rng rng(42);
-    std::vector<double> written;
-    {
-        SignatureSpillWriter writer(path, dim);
-        std::vector<double> point(dim);
-        for (size_t i = 0; i < n; ++i) {
-            for (unsigned d = 0; d < dim; ++d)
-                point[d] = rng.nextDouble() * 1e6 - 5e5;
-            written.insert(written.end(), point.begin(), point.end());
-            writer.append(point.data());
-        }
-        EXPECT_EQ(writer.count(), n);
-        writer.close();
-    }
-
-    SignatureSpillReader reader(path);
-    EXPECT_EQ(reader.dim(), dim);
-    EXPECT_EQ(reader.count(), n);
-    std::vector<double> read(n * dim);
-    size_t got = 0;
-    while (const size_t chunk = reader.read(read.data() + got * dim, 64))
-        got += chunk;
-    ASSERT_EQ(got, n);
-    for (size_t i = 0; i < read.size(); ++i)
-        expectBitEqual(read[i], written[i]);
-
-    // The bytes are pinned: little-endian IEEE-754 images on any host.
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(file, nullptr);
-    std::vector<uint8_t> bytes(std::filesystem::file_size(path));
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
-    std::fclose(file);
-    EXPECT_EQ(bytes.size(), 16824u);
-    EXPECT_EQ(fnv1aHash(bytes.data(), bytes.size()), 0x676bfcb45271700full);
-
-    // rewind() restarts the stream from the first point.
-    reader.rewind();
-    double again[dim];
-    ASSERT_EQ(reader.read(again, 1), 1u);
-    for (unsigned d = 0; d < dim; ++d)
-        expectBitEqual(again[d], written[d]);
-
-    std::filesystem::remove(path);
-}
-
-TEST(SignatureSpillTest, ReaderRejectsTruncatedFile)
-{
-    const std::string path = tempPath("spill_truncated.spill");
-    constexpr unsigned dim = 5;
-    {
-        SignatureSpillWriter writer(path, dim);
-        const std::vector<double> point(dim, 1.5);
-        for (int i = 0; i < 10; ++i)
-            writer.append(point.data());
-        writer.close();
-    }
-    // Chop the last point in half: a crashed writer's signature.
-    const auto full = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, full - dim * 4);
-    EXPECT_THROW(SignatureSpillReader reader(path), SerializeError);
-    std::filesystem::remove(path);
-}
-
-TEST(SignatureSpillTest, ReaderRejectsUnpatchedHeader)
-{
-    const std::string path = tempPath("spill_unclosed.spill");
-    {
-        SignatureSpillWriter writer(path, 3);
-        const std::vector<double> point(3, 2.0);
-        writer.append(point.data());
-        writer.close();
-    }
-    // Re-zero the count field: the on-disk state of a writer that died
-    // before close() could patch it. Size check must catch it.
-    std::FILE *f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    const char zeros[8] = {};
-    ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
-    ASSERT_EQ(std::fwrite(zeros, 1, 8, f), 8u);
-    std::fclose(f);
-    EXPECT_THROW(SignatureSpillReader reader(path), SerializeError);
-
-    // A header-only file whose count times the point size wraps to 0
-    // in 64 bits (2^61 points of dim 8) must not pass the size check.
-    {
-        SignatureSpillWriter writer(path, 8);
-        writer.close();
-    }
-    f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    const unsigned char huge[8] = {0, 0, 0, 0, 0, 0, 0, 0x20};  // 2^61
-    ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
-    ASSERT_EQ(std::fwrite(huge, 1, 8, f), 8u);
-    std::fclose(f);
-    EXPECT_THROW(SignatureSpillReader reader(path), SerializeError);
-    std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------- mini-batch k-means
@@ -353,6 +246,69 @@ TEST(StreamingTest, SpillAndInMemoryStoresAreBitIdentical)
     ASSERT_EQ(a.regionToPoint.size(), profiles.size());
     for (const unsigned j : a.regionToPoint)
         ASSERT_LT(j, a.points.size());
+}
+
+/** Every name in @p dir, sorted. */
+std::vector<std::string>
+namesIn(const std::filesystem::path &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+TEST(StreamingTest, SpillHasNoNameAndFollowsNoPlantedLink)
+{
+    // Links under predictable temp-file names for this process
+    // (bp-stream-<pid>-<n>.spill) point to a canary: the spill must
+    // write through none of them and never show up as a name itself.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(::testing::TempDir()) / "spill_links";
+    const fs::path dir = root / "spill";
+    const fs::path canary = root / "canary";
+    fs::remove_all(root);
+    fs::create_directories(dir);
+    std::ofstream(canary) << "bird";
+    std::vector<std::string> planted;
+    for (unsigned n = 0; n < 256; ++n) {
+        planted.push_back("bp-stream-" + std::to_string(::getpid()) + "-" +
+                          std::to_string(n) + ".spill");
+        fs::create_symlink(canary, dir / planted.back());
+    }
+    std::sort(planted.begin(), planted.end());
+
+    const std::vector<RegionProfile> profiles = syntheticProfiles(6000, 3);
+    StreamingConfig config;
+    config.enabled = true;
+    config.memoryBudgetBytes = 1ull << 20;
+    config.spillDir = dir.string();
+    {
+        StreamingAnalyzer analyzer(static_cast<unsigned>(profiles.size()),
+                                   BarrierPointOptions(), config);
+        ASSERT_TRUE(analyzer.spillsToDisk());
+        for (const RegionProfile &profile : profiles) {
+            RegionProfile copy = profile;
+            analyzer.consume(std::move(copy));
+        }
+        EXPECT_EQ(namesIn(dir), planted);
+        analyzer.finish();
+        EXPECT_EQ(namesIn(dir), planted);
+    }
+    EXPECT_EQ(fs::file_size(canary), 4u);
+    fs::remove_all(root);
+}
+
+TEST(StreamingTest, SpillDirThatDoesNotExistIsASerializeError)
+{
+    StreamingConfig config;
+    config.enabled = true;
+    config.memoryBudgetBytes = 1ull << 20;
+    config.spillDir = ::testing::TempDir() + "no_such_spill_dir";
+    std::filesystem::remove_all(config.spillDir);
+    EXPECT_THROW(StreamingAnalyzer(6000, BarrierPointOptions(), config),
+                 SerializeError);
 }
 
 TEST(StreamingTest, ProfilesEntryPointMatchesWorkloadEntryPoint)

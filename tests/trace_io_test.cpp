@@ -140,17 +140,32 @@ expectRegionsEqual(const RegionTrace &a, const RegionTrace &b)
     }
 }
 
-TEST(TraceIoTest, RoundTripIsBitExactAcrossBufferSizes)
+TEST(TraceIoTest, RoundTripIsBitExactWholeOrInterleaved)
 {
-    // Tiny buffers force mid-region flushes, so the reader must
-    // demultiplex interleaved per-thread chunks; the giant buffer
-    // writes each thread contiguously. Same logical trace either way.
+    // appendRegion() writes each thread contiguously; round-robin
+    // append() interleaves the threads record by record, so the reader
+    // must demultiplex by tid. Same logical trace either way.
     const auto regions = randomRegions(5, 7, 0xfeedULL);
-    for (const size_t buffer : {size_t(1), size_t(64), size_t(1) << 20}) {
+    for (const bool interleaved : {false, true}) {
         TempFile file("roundtrip.bptrace");
-        TraceWriter writer(file.path(), 5, buffer);
-        for (const RegionTrace &region : regions)
-            writer.appendRegion(region);
+        TraceWriter writer(file.path(), 5);
+        for (const RegionTrace &region : regions) {
+            if (!interleaved) {
+                writer.appendRegion(region);
+                continue;
+            }
+            bool more = true;
+            for (size_t i = 0; more; ++i) {
+                more = false;
+                for (unsigned t = 0; t < 5; ++t) {
+                    if (i < region.thread(t).size()) {
+                        writer.append(t, region.thread(t)[i]);
+                        more = true;
+                    }
+                }
+            }
+            writer.endRegion();
+        }
         writer.close();
 
         TraceReader reader(file.path());
@@ -397,11 +412,16 @@ TEST(TraceIoTest, WriterRefusesInvalidUse)
     EXPECT_THROW(TraceWriter(file.path(), kMaxCores + 1), TraceError);
     EXPECT_THROW(TraceWriter("/nonexistent-dir/x.bptrace", 2), TraceError);
 
-    // close() with a region still open must fail, not silently drop
-    // buffered records.
-    TraceWriter writer(file.path(), 2);
-    writer.append(0, MicroOp::alu(1));
-    EXPECT_THROW(writer.close(), TraceError);
+    // close() with a region still open must fail, whether its records
+    // are still buffered (1) or already written (65,536 fill the
+    // buffer and flush it).
+    for (const unsigned open : {1u, 65536u}) {
+        TraceWriter writer(file.path(), 2);
+        writer.appendRegion(randomRegions(2, 1, 0x0be7ULL)[0]);
+        for (unsigned i = 0; i < open; ++i)
+            writer.append(0, MicroOp::alu(1));
+        EXPECT_THROW(writer.close(), TraceError) << open << " open records";
+    }
 }
 
 TEST(TraceIoTest, EmptyTraceIsRejectedAsAWorkload)

@@ -294,8 +294,9 @@ TEST_P(WorkloadPropertyTest, MemoryOpsHaveAddressesAluDoesNot)
     const RegionTrace trace = wl->generateRegion(1);
     for (unsigned t = 0; t < trace.threadCount(); ++t) {
         for (const auto &op : trace.thread(t)) {
-            if (op.kind == OpKind::Alu)
+            if (op.kind == OpKind::Alu) {
                 ASSERT_EQ(op.addr, 0u);
+            }
         }
     }
 }

@@ -666,11 +666,9 @@ cmdRecord(const Args &args)
 {
     const WorkloadSpec spec = workloadSpecFromArgs(args);
     const std::string out = args.text("-o");
-    const size_t buffer_bytes =
-        args.bytes("--buffer", TraceWriter::kDefaultBufferBytes);
 
     const std::unique_ptr<Workload> workload = spec.instantiate();
-    TraceWriter writer(out, workload->threadCount(), buffer_bytes);
+    TraceWriter writer(out, workload->threadCount());
     for (unsigned i = 0; i < workload->regionCount(); ++i)
         writer.appendRegion(workload->generateRegion(i));
     writer.close();
@@ -752,7 +750,7 @@ const Command kCommands[] = {
     {"record", "record a workload's full trace to a .bptrace file",
      cmdRecord,
      {{"--workload", "NAME", true}, {"--threads", "N"}, {"--scale", "S"},
-      {"--seed", "X"}, {"--buffer", "SIZE"}, {"-o", "FILE", true}}},
+      {"--seed", "X"}, {"-o", "FILE", true}}},
     {"ingest", "validate a recorded trace and print its shape", cmdIngest,
      {{"--trace", "FILE", true}, {"--verify", "yes"}}},
     {"digest", "print a content digest of an artifact's payload", cmdDigest,

@@ -42,10 +42,10 @@ once, so review never has to re-catch it:
                     otherwise.
 
   one-codec         The FNV-1a offset basis or prime anywhere but
-                    src/support/serialize.h: artifacts, signature
-                    spills and `.bptrace` traces share its one
-                    little-endian codec and one checksum, so a second
-                    copy of either is a format that can drift.
+                    src/support/serialize.h: artifacts and `.bptrace`
+                    traces share its one little-endian codec and one
+                    checksum, so a second copy of either is a format
+                    that can drift.
 
 Usage:
   bp_lint.py [--root DIR] [--diff-base REF] [--list-rules]
@@ -481,7 +481,7 @@ ARTIFACT_CLEAN_DIFFS = (
     """\
 --- a/src/core/artifacts.h
 +++ b/src/core/artifacts.h
-@@ -212,6 +212,7 @@ class SignatureSpillWriter
+@@ -212,6 +212,7 @@ class ScratchWriter
    private:
      std::FILE *file_ = nullptr;
 +    std::vector<uint8_t> encoded_;
