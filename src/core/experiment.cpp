@@ -1,5 +1,6 @@
 #include "src/core/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -176,8 +177,8 @@ std::string
 Experiment::snapshotPath(const SnapshotKey &key) const
 {
     return artifactPath(stem_ + "-o" + hex16(optionsHash_) + "-c" +
-                        std::to_string(key.first) + "x" +
-                        std::to_string(key.second) + ".snapshots.bp");
+                        std::to_string(key.lines) + "x" +
+                        std::to_string(key.privateLines) + ".snapshots.bp");
 }
 
 std::string
@@ -362,8 +363,8 @@ Experiment::tryLoadSnapshots(const std::string &path,
         path, loadSnapshotArtifact, "snapshot",
         [&](const SnapshotArtifact &a) -> std::string {
             const std::vector<uint32_t> regions = analysis().pointRegions();
-            if (a.workload != spec_ || a.capacityLines != key.first ||
-                a.privateLines != key.second || a.regions != regions ||
+            if (a.workload != spec_ || a.capacityLines != key.lines ||
+                a.privateLines != key.privateLines || a.regions != regions ||
                 a.snapshots.size() != regions.size())
                 return "was captured for a different analysis or "
                        "machine; recapturing";
@@ -375,24 +376,39 @@ Experiment::tryLoadSnapshots(const std::string &path,
     return true;
 }
 
+void
+Experiment::resolveSnapshots(const std::vector<SnapshotKey> &keys)
+{
+    std::vector<SnapshotKey> missing;
+    for (const SnapshotKey &key : keys) {
+        if (snapshots_.count(key) ||
+            std::find(missing.begin(), missing.end(), key) != missing.end())
+            continue;
+        if (!seeded_ && tryLoadSnapshots(snapshotPath(key), key))
+            continue;
+        missing.push_back(key);
+    }
+    if (missing.empty())
+        return;
+
+    std::vector<MruSnapshotSet> captured = captureMruSnapshots(
+        *workload_, analysis().pointRegions(), missing, exec_);
+    for (size_t i = 0; i < missing.size(); ++i) {
+        snapshots_[missing[i]] = std::move(captured[i]);
+        const std::string path = snapshotPath(missing[i]);
+        if (!seeded_ && !path.empty()) {
+            ensureArtifactDir();
+            saveSnapshots(missing[i], path);
+        }
+    }
+}
+
 const MruSnapshotSet &
 Experiment::snapshots(const MachineConfig &machine)
 {
     const SnapshotKey key = snapshotKey(machine);
-    auto it = snapshots_.find(key);
-    if (it != snapshots_.end())
-        return it->second;
-    const std::string path = snapshotPath(key);
-    if (!seeded_ && tryLoadSnapshots(path, key))
-        return snapshots_.at(key);
-
-    MruSnapshotSet &snapshots = snapshots_[key] =
-        captureAnalysisSnapshots(*workload_, machine, analysis());
-    if (!seeded_ && !path.empty()) {
-        ensureArtifactDir();
-        exportSnapshots(machine, path);
-    }
-    return snapshots;
+    resolveSnapshots({key});
+    return snapshots_.at(key);
 }
 
 bool
@@ -435,12 +451,17 @@ void
 Experiment::exportSnapshots(const MachineConfig &machine,
                             const std::string &path)
 {
-    const SnapshotKey key = snapshotKey(machine);
     snapshots(machine);
+    saveSnapshots(snapshotKey(machine), path);
+}
+
+void
+Experiment::saveSnapshots(const SnapshotKey &key, const std::string &path)
+{
     SnapshotArtifact artifact;
     artifact.workload = spec_;
-    artifact.capacityLines = key.first;
-    artifact.privateLines = key.second;
+    artifact.capacityLines = key.lines;
+    artifact.privateLines = key.privateLines;
     artifact.regions = analysis().pointRegions();
     saveLending(path, artifact, snapshots_.at(key),
                 &SnapshotArtifact::snapshots);
@@ -505,12 +526,16 @@ Experiment::simulateMachines(std::span<const MachineConfig> machines,
 
     if (!pending.empty()) {
         const BarrierPointAnalysis &a = analysis();
-        // Warmup capture is inherently serial; do it up front (one set
-        // per distinct capture capacity, shared across machines) so
-        // the fan-out below only reads.
+        // Warmup capture comes first, in one pass for every capacity
+        // the machines lack (machines of equal capacities share a
+        // set), so the fan-out below only reads.
         if (policy == WarmupPolicy::MruReplay) {
+            std::vector<SnapshotKey> keys;
+            for (const Pending &p : pending)
+                keys.push_back(snapshotKey(*p.machine));
+            resolveSnapshots(keys);
             for (Pending &p : pending)
-                p.snapshots = &snapshots(*p.machine);
+                p.snapshots = &snapshots_.at(snapshotKey(*p.machine));
         }
 
         // One flat (machine x barrierpoint) fan-out on the shared
@@ -617,7 +642,7 @@ Experiment::reference(const MachineConfig &machine)
     if (tryLoadReference(path, machine_key, machine))
         return references_.at(machine_key);
 
-    RunResult result = runReference(*workload_, machine);
+    RunResult result = runReference(*workload_, machine, exec_);
     if (!path.empty()) {
         ensureArtifactDir();
         RunResultArtifact artifact;

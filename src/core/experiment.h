@@ -147,8 +147,9 @@ class Experiment
      * Batched design-space sweep: simulate every machine, fanning all
      * (machine, barrierpoint) pairs out on the shared pool at once —
      * results are identical to calling simulate() per machine, but
-     * short per-machine tails no longer serialize. Snapshots are
-     * captured once per distinct capture capacity and shared.
+     * short per-machine tails no longer serialize. Every capture
+     * capacity the machines need and the session lacks is captured
+     * in one pass; machines of equal capacities share a set.
      * Already-memoized machines are returned from cache.
      */
     std::vector<SimulationResult> sweep(
@@ -201,7 +202,7 @@ class Experiment
                          const std::string &path);
 
   private:
-    using SnapshotKey = std::pair<uint64_t, uint64_t>;  // capacity, private
+    using SnapshotKey = MruCapacity;
     using ResultKey = std::pair<std::string, int>;  // machineKey, policy
 
     static SnapshotKey snapshotKey(const MachineConfig &machine);
@@ -236,11 +237,20 @@ class Experiment
     bool tryLoadProfiles(const std::string &path);
     bool tryLoadAnalysis(const std::string &path);
     bool tryLoadSnapshots(const std::string &path, const SnapshotKey &key);
+    void saveSnapshots(const SnapshotKey &key, const std::string &path);
     bool tryLoadResult(const std::string &path, const ResultKey &key,
                        const MachineConfig &machine, WarmupPolicy policy);
     bool tryLoadReference(const std::string &path,
                           const std::string &machine_key,
                           const MachineConfig &machine);
+
+    /**
+     * Memoize the snapshot set of every key in @p keys: each distinct
+     * key once, loaded from the artifact cache when it holds it, and
+     * all the rest captured in one captureMruSnapshots() pass and
+     * saved — the one capture path behind snapshots() and sweep().
+     */
+    void resolveSnapshots(const std::vector<SnapshotKey> &keys);
 
     /**
      * Memoize a result for every machine in @p machines, loading or

@@ -1,8 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 
 #include "src/profile/mru_tracker.h"
 #include "src/support/core_set.h"
@@ -11,6 +10,77 @@
 #include "src/support/thread_pool.h"
 
 namespace bp {
+
+namespace {
+
+/**
+ * Regions [0, end) of a workload, handed out in order on the calling
+ * thread. Trace generation is pure, so on a multi-executor pool up to
+ * 2 x threadCount() later regions are generated ahead as pool tasks,
+ * and the ring of slots bounds how many traces are held; on one
+ * executor each region is generated inline when asked for. A slot is
+ * written by its one generation task and read only after that task's
+ * future, so a failure at region r surfaces from next() at r, as in
+ * the serial loop. The destructor waits for generations in flight.
+ */
+class RegionStream
+{
+  public:
+    RegionStream(const Workload &workload, unsigned end, ThreadPool &pool)
+        : workload_(workload), pool_(pool), end_(end),
+          slots_(pool.threadCount() <= 1
+                     ? 0
+                     : std::min(end, 2 * pool.threadCount()))
+    {}
+
+    RegionStream(const RegionStream &) = delete;
+    RegionStream &operator=(const RegionStream &) = delete;
+
+    ~RegionStream()
+    {
+        for (Slot &slot : slots_) {
+            if (slot.pending.valid())
+                slot.pending.wait();
+        }
+    }
+
+    /** The next region's trace; rethrows its generation's exception. */
+    RegionTrace
+    next()
+    {
+        BP_ASSERT(next_ < end_, "region stream read past its end");
+        if (slots_.empty())
+            return workload_.generateRegion(next_++);
+        // Keep regions [next_, next_ + ring) generating.
+        for (; issued_ < end_ && issued_ < next_ + slots_.size(); ++issued_) {
+            Slot &slot = slots_[issued_ % slots_.size()];
+            slot.pending = pool_.submit([this, &slot, region = issued_] {
+                slot.trace.emplace(workload_.generateRegion(region));
+            });
+        }
+        Slot &slot = slots_[next_++ % slots_.size()];
+        slot.pending.get();
+        RegionTrace trace = std::move(*slot.trace);
+        slot.trace.reset();
+        return trace;
+    }
+
+  private:
+    struct Slot
+    {
+        std::optional<RegionTrace> trace;
+        std::future<void> pending;
+    };
+
+    const Workload &workload_;
+    ThreadPool &pool_;
+    const unsigned end_;
+    unsigned next_ = 0;    ///< the region next() hands out
+    unsigned issued_ = 0;  ///< regions submitted for generation
+    std::vector<Slot> slots_;
+};
+
+} // namespace
 
 const char *
 warmupPolicyName(WarmupPolicy policy)
@@ -43,56 +113,15 @@ profileWorkloadToSink(const Workload &workload,
                       const ProfilingConfig &profiling,
                       RegionProfileSink &sink, const ExecutionContext &exec)
 {
+    // Reuse-distance state persists across regions, so regions are
+    // profiled in order while the stream generates later ones on the
+    // pool; each region's per-thread streams fan out on the pool too.
     ThreadPool &pool = exec.pool();
     const unsigned regions = workload.regionCount();
     RegionProfiler profiler(workload.threadCount(), profiling);
-
-    if (pool.threadCount() <= 1) {
-        for (unsigned r = 0; r < regions; ++r)
-            sink.consume(profiler.profileRegion(workload.generateRegion(r)));
-        return;
-    }
-
-    // Reuse-distance state persists across regions, so regions are
-    // *profiled* in order — but trace generation is pure, so up to
-    // `lookahead` future traces are generated on the pool while the
-    // caller profiles the current one (whose per-thread streams fan
-    // out on the pool as well). The ring of slots bounds how many
-    // fully generated traces are held in memory.
-    const unsigned lookahead =
-        std::min(regions, 2 * pool.threadCount());
-    std::vector<std::unique_ptr<RegionTrace>> traces(lookahead);
-    std::vector<std::future<void>> pending(lookahead);
-    const auto generate = [&](unsigned region, unsigned slot) {
-        pending[slot] = pool.submit([&workload, &traces, region, slot] {
-            traces[slot] = std::make_unique<RegionTrace>(
-                workload.generateRegion(region));
-        });
-    };
-    try {
-        for (unsigned r = 0; r < lookahead; ++r)
-            generate(r, r);
-        for (unsigned r = 0; r < regions; ++r) {
-            const unsigned slot = r % lookahead;
-            pending[slot].get();
-            sink.consume(profiler.profileRegion(*traces[slot], &pool));
-            traces[slot].reset();
-            if (r + lookahead < regions)
-                generate(r + lookahead, slot);
-        }
-    } catch (...) {
-        // In-flight generators write into traces/pending; they must
-        // finish before those go out of scope.
-        for (auto &f : pending) {
-            if (f.valid()) {
-                try {
-                    f.get();
-                } catch (...) {
-                }
-            }
-        }
-        throw;
-    }
+    RegionStream stream(workload, regions, pool);
+    for (unsigned r = 0; r < regions; ++r)
+        sink.consume(profiler.profileRegion(stream.next(), &pool));
 }
 
 std::vector<std::vector<double>>
@@ -142,51 +171,98 @@ analyzeWorkload(const Workload &workload, const BarrierPointOptions &options,
 }
 
 RunResult
-runReference(const Workload &workload, const MachineConfig &machine)
+runReference(const Workload &workload, const MachineConfig &machine,
+             const ExecutionContext &exec)
 {
+    RegionStream stream(workload, workload.regionCount(), exec.pool());
     return simulateFullRun(machine, workload.regionCount(),
-                           [&](unsigned r) {
-                               return workload.generateRegion(r);
-                           });
+                           [&](unsigned) { return stream.next(); });
 }
 
 namespace {
 
 /**
- * The capture loop, templated on the holder-set width so the common
+ * One tracker call of capture's coherence pass, logged for its core as
+ * `line << 2 | call` (lines are below 2^58, so the call fits).
+ */
+enum TrackerCall : uint64_t { kRead, kWrite, kInvalidate, kDowngrade };
+
+/** Logged calls, over all cores, that trigger a replay (2 MB). */
+constexpr size_t kReplayBudget = size_t(1) << 18;
+
+/**
+ * The capture pass, templated on the holder-set width so the common
  * <= 64-thread case keeps an 8-byte per-line coherence record (wider
  * workloads pay only for the CoreSet capacity tier they need).
+ *
+ * Two phases. The coherence pass walks the prefix in program order on
+ * the calling thread and decides every tracker call: a write
+ * invalidates other cores' retained copies; a read of another core's
+ * dirty line downgrades it (its dirty data migrates to the LLC). It
+ * tracks a holder set and last writer per line, which depend on no
+ * tracker state and on no capacity, and logs each call for its core.
+ * The replay then runs one pool task per (capacity, core) tracker,
+ * each applying its core's log in order. Every tracker so receives
+ * exactly the call sequence of a one-loop capture, and every capacity
+ * shares one generation and one coherence pass.
  */
 template <unsigned Width>
-MruSnapshotSet
+std::vector<MruSnapshotSet>
 captureMruSnapshotsWide(const Workload &workload,
                         const std::vector<uint32_t> &regions,
-                        uint64_t capacity_lines, uint64_t private_lines)
+                        const std::vector<MruCapacity> &capacities,
+                        ThreadPool &pool)
 {
-    MruSnapshotSet snapshots(regions.size());
-
-    const uint32_t last =
-        *std::max_element(regions.begin(), regions.end());
     const unsigned threads = workload.threadCount();
 
-    // region -> snapshot slots wanting it, so per-region capture cost
-    // does not scale with #barrierpoints x #regions.
-    std::unordered_multimap<uint32_t, size_t> slots_of_region;
-    slots_of_region.reserve(regions.size());
+    // (region, snapshot slot), visited in region order.
+    std::vector<std::pair<uint32_t, size_t>> wanted;
+    wanted.reserve(regions.size());
     for (size_t i = 0; i < regions.size(); ++i)
-        slots_of_region.emplace(regions[i], i);
+        wanted.emplace_back(regions[i], i);
+    std::sort(wanted.begin(), wanted.end());
+    const uint32_t last = wanted.back().first;
 
+    // Tracker c * threads + t is core t's at capacity c.
     std::vector<MruTracker> trackers;
-    trackers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        trackers.emplace_back(capacity_lines, private_lines);
+    trackers.reserve(capacities.size() * threads);
+    for (const MruCapacity &capacity : capacities) {
+        for (unsigned t = 0; t < threads; ++t)
+            trackers.emplace_back(capacity.lines, capacity.privateLines);
+    }
 
-    // Coherence-aware capture: a write invalidates other cores'
-    // retained copies; a read of another core's dirty line downgrades
-    // it (its dirty data migrates to the LLC). Tracked with a holder
-    // set and last-writer per line, in a flat probe table like the
-    // trackers themselves (this loop is the other profiling-speed
-    // path: it replays every memory access of the prefix).
+    std::vector<std::vector<uint64_t>> logs(threads);
+    size_t logged = 0;
+    const auto append = [&](unsigned core, uint64_t line, TrackerCall call) {
+        logs[core].push_back(line << 2 | call);
+        ++logged;
+    };
+    const auto replay = [&] {
+        pool.parallelFor(0, trackers.size(), [&](uint64_t i) {
+            MruTracker &tracker = trackers[i];
+            for (const uint64_t event : logs[i % threads]) {
+                const uint64_t line = event >> 2;
+                switch (event & 3) {
+                  case kRead:
+                    tracker.access(line, false);
+                    break;
+                  case kWrite:
+                    tracker.access(line, true);
+                    break;
+                  case kInvalidate:
+                    tracker.invalidateLine(line);
+                    break;
+                  default:
+                    tracker.downgradeLine(line);
+                    break;
+                }
+            }
+        });
+        for (std::vector<uint64_t> &core_log : logs)
+            core_log.clear();
+        logged = 0;
+    };
+
     struct LineCoherence
     {
         CoreSet<Width> holders;
@@ -194,27 +270,37 @@ captureMruSnapshotsWide(const Workload &workload,
     };
     FlatMap<LineCoherence> coherence;
 
-    // Only lines plausibly still resident in the shared LLC replay a
-    // dirty LLC copy; per core that is roughly an equal share.
-    const uint64_t llc_dirty_window =
-        std::max<uint64_t>(1, capacity_lines / threads);
-
-    const auto snapshot_all = [&]() {
-        std::vector<std::vector<MruEntry>> per_core;
-        per_core.reserve(threads);
-        for (const auto &tracker : trackers)
-            per_core.push_back(tracker.snapshot(llc_dirty_window));
-        return per_core;
-    };
-
+    std::vector<MruSnapshotSet> sets(capacities.size(),
+                                     MruSnapshotSet(regions.size()));
+    size_t next_wanted = 0;
     for (uint32_t r = 0; r <= last; ++r) {
         // Snapshot *before* region r runs: this is the state a
         // checkpoint taken at barrier r would capture.
-        const auto [slot, slots_end] = slots_of_region.equal_range(r);
-        if (slot != slots_end) {
-            const auto state = snapshot_all();
-            for (auto it = slot; it != slots_end; ++it)
-                snapshots[it->second] = state;
+        size_t end_wanted = next_wanted;
+        while (end_wanted < wanted.size() && wanted[end_wanted].first == r)
+            ++end_wanted;
+        if (end_wanted != next_wanted) {
+            replay();
+            for (MruSnapshotSet &set : sets) {
+                for (size_t w = next_wanted; w < end_wanted; ++w)
+                    set[wanted[w].second].resize(threads);
+            }
+            pool.parallelFor(0, trackers.size(), [&](uint64_t i) {
+                const MruCapacity &capacity = capacities[i / threads];
+                const unsigned t = static_cast<unsigned>(i % threads);
+                // Only lines plausibly still resident in the shared LLC
+                // replay a dirty LLC copy; per core that is roughly an
+                // equal share.
+                const uint64_t llc_dirty_window =
+                    std::max<uint64_t>(1, capacity.lines / threads);
+                MruSnapshotSet &set = sets[i / threads];
+                std::vector<MruEntry> entries =
+                    trackers[i].snapshot(llc_dirty_window);
+                for (size_t w = next_wanted; w + 1 < end_wanted; ++w)
+                    set[wanted[w].second][t] = entries;
+                set[wanted[end_wanted - 1].second][t] = std::move(entries);
+            });
+            next_wanted = end_wanted;
         }
         if (r == last)
             break;
@@ -225,66 +311,90 @@ captureMruSnapshotsWide(const Workload &workload,
                     continue;
                 const uint64_t line = lineOf(op.addr);
                 const bool write = op.kind == OpKind::Store;
-                const uint64_t hash = flatHash(line);
-                LineCoherence &lc = *coherence.insert(line, hash).first;
+                LineCoherence &lc =
+                    *coherence.insert(line, flatHash(line)).first;
                 if (write) {
                     CoreSet<Width> others = lc.holders;
                     others.clear(t);
                     others.forEachSetBit([&](unsigned other) {
-                        trackers[other].invalidateLine(line);
+                        append(other, line, kInvalidate);
                     });
                     lc.holders = CoreSet<Width>::single(t);
                     lc.writer = static_cast<int16_t>(t);
                 } else {
                     if (lc.writer >= 0 &&
                         lc.writer != static_cast<int16_t>(t)) {
-                        trackers[lc.writer].downgradeLine(line);
+                        append(lc.writer, line, kDowngrade);
                         lc.writer = -1;
                     }
                     lc.holders.set(t);
                 }
-                trackers[t].access(line, write, hash);
+                append(t, line, write ? kWrite : kRead);
             }
+            if (logged >= kReplayBudget)
+                replay();
         }
     }
-    return snapshots;
+    return sets;
 }
 
 } // namespace
 
-MruSnapshotSet
+std::vector<MruSnapshotSet>
 captureMruSnapshots(const Workload &workload,
                     const std::vector<uint32_t> &regions,
-                    uint64_t capacity_lines, uint64_t private_lines)
+                    const std::vector<MruCapacity> &capacities,
+                    const ExecutionContext &exec)
 {
-    BP_ASSERT(capacity_lines > 0, "MRU capacity must be positive");
+    for (const MruCapacity &capacity : capacities)
+        BP_ASSERT(capacity.lines > 0, "MRU capacity must be positive");
 
-    if (regions.empty())
-        return MruSnapshotSet();
+    if (regions.empty() || capacities.empty())
+        return std::vector<MruSnapshotSet>(capacities.size());
+
+    const uint32_t last = *std::max_element(regions.begin(), regions.end());
+    if (last >= workload.regionCount())
+        fatal("cannot capture MRU snapshots at region %u: workload %s has "
+              "%u regions",
+              last, workload.name().c_str(), workload.regionCount());
 
     const unsigned threads = workload.threadCount();
     BP_ASSERT(threads <= kMaxCores,
               "coherence holder set supports at most kMaxCores threads");
+    ThreadPool &pool = exec.pool();
     if (threads <= 64) {
-        return captureMruSnapshotsWide<64>(workload, regions,
-                                           capacity_lines, private_lines);
+        return captureMruSnapshotsWide<64>(workload, regions, capacities,
+                                           pool);
     }
     if (threads <= 256) {
-        return captureMruSnapshotsWide<256>(workload, regions,
-                                            capacity_lines, private_lines);
+        return captureMruSnapshotsWide<256>(workload, regions, capacities,
+                                            pool);
     }
-    return captureMruSnapshotsWide<kMaxCores>(workload, regions,
-                                              capacity_lines, private_lines);
+    return captureMruSnapshotsWide<kMaxCores>(workload, regions, capacities,
+                                              pool);
+}
+
+MruSnapshotSet
+captureMruSnapshots(const Workload &workload,
+                    const std::vector<uint32_t> &regions,
+                    uint64_t capacity_lines, uint64_t private_lines,
+                    const ExecutionContext &exec)
+{
+    return std::move(captureMruSnapshots(workload, regions,
+                                         {{capacity_lines, private_lines}},
+                                         exec)
+                         .front());
 }
 
 MruSnapshotSet
 captureAnalysisSnapshots(const Workload &workload,
                          const MachineConfig &machine,
-                         const BarrierPointAnalysis &analysis)
+                         const BarrierPointAnalysis &analysis,
+                         const ExecutionContext &exec)
 {
     return captureMruSnapshots(workload, analysis.pointRegions(),
                                mruCapacityLines(machine),
-                               mruPrivateLines(machine));
+                               mruPrivateLines(machine), exec);
 }
 
 RegionStats
@@ -310,7 +420,8 @@ simulateBarrierPoints(const Workload &workload, const MachineConfig &machine,
     if (policy == WarmupPolicy::MruReplay) {
         return simulateBarrierPoints(
             workload, machine, analysis,
-            captureAnalysisSnapshots(workload, machine, analysis), exec);
+            captureAnalysisSnapshots(workload, machine, analysis, exec),
+            exec);
     }
 
     // Every barrierpoint gets a fresh MultiCoreSim and its own trace,

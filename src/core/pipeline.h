@@ -32,20 +32,24 @@
  *
  * Threading model: inter-barrier regions are independent units of
  * work (the paper's central observation), so every stage runs its
- * region-indexed loop on the ExecutionContext's pool: trace
- * generation and per-thread profiling in profileWorkload(), signature
- * projection in projectProfiles(), the k sweep and assignment step of
- * clustering, and per-barrierpoint simulation in
- * simulateBarrierPoints(). Only MRU snapshot capture is inherently
- * serial (a streaming scan of the whole run). Determinism contract:
- * results are collected in index order and every task touches only
- * state owned by its index, so output is bit-identical to the serial
- * path for any thread count.
+ * region-indexed loop on the ExecutionContext's pool: per-thread
+ * profiling in profileWorkload(), signature projection in
+ * projectProfiles(), the k sweep and assignment step of clustering,
+ * and per-barrierpoint simulation in simulateBarrierPoints(). The two
+ * whole-program scans keep their order on the calling thread and put
+ * the rest on the pool: profileWorkload() and runReference() consume
+ * regions in order while later regions' traces are generated ahead;
+ * MRU capture runs one coherence pass in program order and replays
+ * its per-core tracker logs as one task per (capacity, core).
+ * Determinism contract: results are collected in index order and
+ * every task touches only state owned by its index, so output is
+ * bit-identical to the serial path for any thread count.
  */
 
 #ifndef BP_CORE_PIPELINE_H
 #define BP_CORE_PIPELINE_H
 
+#include <compare>
 #include <vector>
 
 #include "src/core/reconstruction.h"
@@ -133,9 +137,16 @@ BarrierPointAnalysis analyzeWorkload(const Workload &workload,
                                      const BarrierPointOptions &options = {},
                                      const ExecutionContext &exec = {});
 
-/** Detailed simulation of the complete application (the reference). */
-RunResult runReference(const Workload &workload,
-                       const MachineConfig &machine);
+/**
+ * Detailed simulation of the complete application (the reference).
+ * The simulation itself is one machine walking every region in order;
+ * with a multi-executor @p exec, later regions' traces are generated
+ * (or read and validated, for a trace workload) ahead on the pool,
+ * with the same lookahead as profileWorkload(). Bit-identical for any
+ * executor count.
+ */
+RunResult runReference(const Workload &workload, const MachineConfig &machine,
+                       const ExecutionContext &exec = {});
 
 /** How to initialize microarchitectural state for a barrierpoint. */
 enum class WarmupPolicy {
@@ -163,33 +174,60 @@ mruPrivateLines(const MachineConfig &machine)
     return machine.mem.l2.numLines();
 }
 
+/** The capture capacities of one MRU snapshot set (see MruTracker). */
+struct MruCapacity
+{
+    uint64_t lines;                ///< per-core tracker capacity
+    uint64_t privateLines = 4096;  ///< private capacity (dirtiness filter)
+
+    auto operator<=>(const MruCapacity &) const = default;
+};
+
 /**
- * Capture per-core MRU snapshots at the start of each listed region.
+ * Capture per-core MRU snapshots at the start of each listed region,
+ * once per entry of @p capacities, in one pass over the program
+ * prefix: trace generation and the coherence bookkeeping are shared
+ * by every capacity, and each (capacity, core) keeps its own tracker.
  *
- * @param workload        the application
- * @param regions         region indices wanting warmup data (sorted
- *                        or not; duplicates fine)
- * @param capacity_lines  per-core tracker capacity; the paper uses
- *                        the largest shared-LLC capacity simulated
- * @param private_lines   private-cache capacity for the dirtiness
- *                        filter (see MruTracker)
- * @return one snapshot (per-core entry lists, LRU->MRU) per requested
- *         region, keyed by position in @p regions
+ * @param workload    the application
+ * @param regions     region indices wanting warmup data (sorted or
+ *                    not; duplicates fine); an index at or past
+ *                    workload.regionCount() is a user error, rejected
+ *                    with fatal()
+ * @param capacities  per-core tracker capacities; the paper uses the
+ *                    largest shared-LLC capacity simulated
+ * @param exec        the coherence pass runs in program order on the
+ *                    calling thread; the trackers replay its per-core
+ *                    logs, and take their snapshots, as pool tasks
+ * @return one MruSnapshotSet per entry of @p capacities, each holding
+ *         one snapshot (per-core entry lists, LRU->MRU) per requested
+ *         region, keyed by position in @p regions; bit-identical for
+ *         any executor count and to one call per capacity
  */
+std::vector<MruSnapshotSet> captureMruSnapshots(
+    const Workload &workload, const std::vector<uint32_t> &regions,
+    const std::vector<MruCapacity> &capacities,
+    const ExecutionContext &exec = {});
+
+/** captureMruSnapshots() at the one capacity {capacity_lines,
+ *  private_lines}. */
 MruSnapshotSet captureMruSnapshots(
     const Workload &workload, const std::vector<uint32_t> &regions,
-    uint64_t capacity_lines, uint64_t private_lines = 4096);
+    uint64_t capacity_lines, uint64_t private_lines = 4096,
+    const ExecutionContext &exec = {});
 
 /**
  * Capture MRU snapshots at every barrierpoint of @p analysis, sized
  * for @p machine — exactly the warmup data the MruReplay policy
  * computes internally, exposed so it can be captured once, persisted,
  * and reused across simulations (see core/artifacts.h and the
- * snapshot stage of core/experiment.h).
+ * snapshot stage of core/experiment.h, which captures every capacity
+ * a sweep lacks in one captureMruSnapshots() call).
  */
 MruSnapshotSet captureAnalysisSnapshots(const Workload &workload,
                                         const MachineConfig &machine,
-                                        const BarrierPointAnalysis &analysis);
+                                        const BarrierPointAnalysis &analysis,
+                                        const ExecutionContext &exec = {});
 
 /**
  * Detailed-simulate one barrierpoint of @p analysis on a fresh
@@ -213,8 +251,9 @@ RegionStats simulateBarrierPoint(const Workload &workload,
  *
  * Because every barrierpoint runs on its own fresh MultiCoreSim, the
  * per-point loop is embarrassingly parallel; a multi-executor @p exec
- * simulates barrierpoints concurrently (snapshot capture stays
- * serial) with stats collected in analysis.points order.
+ * simulates barrierpoints concurrently, with stats collected in
+ * analysis.points order. MruReplay first captures the snapshots on
+ * the same @p exec (captureAnalysisSnapshots()).
  *
  * @return stats indexed like analysis.points
  */

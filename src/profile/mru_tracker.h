@@ -2,13 +2,16 @@
  * @file
  * Most-recently-used line tracker for the warmup methodology.
  *
- * During the (microarchitecture-independent) profiling run, each core
- * records its most recently touched cache lines, with a capacity
- * equal to the largest shared LLC that will ever be simulated. Before
- * detailed simulation of a barrierpoint, each core's list is replayed
- * in access order (oldest first) to reconstruct cache and coherence
- * state — the paper's extension of No-State-Loss / Live-points to
- * multi-threaded, multi-level hierarchies.
+ * MRU capture (captureMruSnapshots() in core/pipeline.h) is its own
+ * microarchitecture-independent pass over the program prefix, after
+ * profiling: one tracker per core records that core's most recently
+ * touched cache lines, with a capacity equal to the shared LLC of the
+ * machine to be simulated (one tracker per core and capacity when a
+ * sweep captures several). Before detailed simulation of a
+ * barrierpoint, each core's list is replayed in access order (oldest
+ * first) to reconstruct cache and coherence state — the paper's
+ * extension of No-State-Loss / Live-points to multi-threaded,
+ * multi-level hierarchies.
  *
  * Coherence state is reconstructed from two dirtiness levels:
  *   - a line is replayed *privately dirty* (Modified in L1/L2) when
@@ -18,7 +21,7 @@
  *     *LLC dirty*: present Shared in the private levels but Modified
  *     in the L3, so its eventual eviction still writes memory.
  *
- * This sits on the profiler's per-memory-access hot path, so all
+ * Every memory access of the prefix reaches a tracker, so all
  * per-line state (positions in both recency lists, both dirtiness
  * bits) lives in a single FlatMap record — one hash probe per access
  * instead of the five-plus map operations of the previous

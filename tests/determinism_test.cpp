@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/support/serialize.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/test_workload.h"
 
@@ -128,6 +129,34 @@ TEST(DeterminismTest, ProfilesIdenticalAcrossThreadCounts)
                     EXPECT_EQ(s.ldv.bucket(b), p.ldv.bucket(b));
             }
         }
+    }
+}
+
+/** Every field of every region, as the reference artifact stores it. */
+std::vector<uint8_t>
+serializedRun(const RunResult &run)
+{
+    Serializer s;
+    run.serialize(s);
+    return s.buffer();
+}
+
+TEST(DeterminismTest, RunReferenceIdenticalAcrossThreadCounts)
+{
+    WorkloadParams params;
+    params.threads = 4;
+    params.scale = 0.1;
+    const auto wl = makeWorkload("npb-cg", params);
+    const auto machine = MachineConfig::withCores(4);
+
+    const RunResult serial = runReference(*wl, machine, 1);
+    ASSERT_EQ(serial.regions.size(), wl->regionCount());
+    const std::vector<uint8_t> expected = serializedRun(serial);
+    for (const unsigned threads : {2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const RunResult parallel = runReference(*wl, machine, threads);
+        expectIdenticalStats(serial.regions, parallel.regions);
+        EXPECT_EQ(serializedRun(parallel), expected);
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -229,6 +230,73 @@ TEST(ExperimentTest, SweepMatchesIndividualSimulates)
         EXPECT_EQ(results[i].machine, machines[i].name);
         expectStatsBitEqual(results[i].stats, want.stats);
         expectEstimateBitEqual(results[i].estimate, want.estimate);
+    }
+}
+
+TEST(ExperimentTest, SweepWritesTheSnapshotArtifactsOfSeparateCaptures)
+{
+    // Four machines, three capture capacities: the 2- and 4-core
+    // machines share one socket's L3, the 16- and 24-core ones have
+    // two and three sockets.
+    const WorkloadSpec spec = smallSpec();
+    const std::vector<MachineConfig> machines = {
+        MachineConfig::withCores(2), MachineConfig::withCores(16),
+        MachineConfig::withCores(4), MachineConfig::withCores(24)};
+    const auto leaf = [](const std::string &path) {
+        return std::filesystem::path(path).filename().string();
+    };
+
+    TempDir swept_dir("sweep_one_pass");
+    Experiment::Config config;
+    config.artifactDir = swept_dir.path();
+    std::vector<SimulationResult> swept;
+    {
+        Experiment session(spec, config, 2);
+        swept = session.sweep(machines);
+    }
+    const std::vector<std::string> swept_files =
+        swept_dir.filesMatching(".snapshots.bp");
+    ASSERT_EQ(swept_files.size(), 3u);
+
+    // The same three files, byte for byte, from one snapshots() call
+    // per machine in another fresh session.
+    TempDir separate_dir("sweep_separate");
+    config.artifactDir = separate_dir.path();
+    {
+        Experiment session(spec, config);
+        for (const MachineConfig &machine : machines)
+            session.snapshots(machine);
+    }
+    EXPECT_EQ(separate_dir.filesMatching(".snapshots.bp").size(), 3u);
+    for (const std::string &path : swept_files) {
+        EXPECT_EQ(fileBytes(separate_dir.path() + "/" + leaf(path)),
+                  fileBytes(path))
+            << leaf(path);
+    }
+
+    // A session that finds one of them on disk loads it (the planted
+    // file keeps its back-dated time, so it was not rewritten),
+    // captures the other two, and returns the same Estimates.
+    TempDir partial_dir("sweep_partial");
+    std::filesystem::create_directories(partial_dir.path());
+    const std::string planted = partial_dir.path() + "/" + leaf(swept_files[0]);
+    std::filesystem::copy_file(swept_files[0], planted);
+    const auto planted_time = std::filesystem::last_write_time(planted) -
+                              std::chrono::hours(24 * 365);
+    std::filesystem::last_write_time(planted, planted_time);
+    config.artifactDir = partial_dir.path();
+    Experiment partial(spec, config, 2);
+    const std::vector<SimulationResult> reloaded = partial.sweep(machines);
+    EXPECT_EQ(std::filesystem::last_write_time(planted), planted_time);
+    ASSERT_EQ(reloaded.size(), swept.size());
+    for (size_t i = 0; i < swept.size(); ++i) {
+        expectStatsBitEqual(reloaded[i].stats, swept[i].stats);
+        expectEstimateBitEqual(reloaded[i].estimate, swept[i].estimate);
+    }
+    for (const std::string &path : swept_files) {
+        EXPECT_EQ(fileBytes(partial_dir.path() + "/" + leaf(path)),
+                  fileBytes(path))
+            << leaf(path);
     }
 }
 

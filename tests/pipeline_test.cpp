@@ -1,13 +1,20 @@
 /**
  * @file
- * End-to-end pipeline tests on the miniature test workload.
+ * End-to-end pipeline tests on the miniature test workload, and the
+ * identity of the two-phase MRU capture with the one-loop capture it
+ * replaced (tests/legacy_mru_capture_reference.h).
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/core/pipeline.h"
 #include "src/support/stats.h"
+#include "src/workloads/registry.h"
 #include "src/workloads/test_workload.h"
+#include "tests/legacy_mru_capture_reference.h"
 
 namespace bp {
 namespace {
@@ -286,6 +293,210 @@ TEST(PipelineTest, SpeedupsAreConsistent)
     EXPECT_GE(analysis.serialSpeedup(), 1.0);
     EXPECT_GE(analysis.parallelSpeedup(), analysis.serialSpeedup());
     EXPECT_GE(analysis.resourceReduction(), 1.0);
+}
+
+// ---------------------------------------------------- capture oracle
+
+/** "" when @p got equals @p want entry for entry, else the first
+ *  difference. */
+std::string
+firstDifference(const MruSnapshotSet &got, const MruSnapshotSet &want)
+{
+    if (got.size() != want.size())
+        return "snapshot count " + std::to_string(got.size()) + " vs " +
+               std::to_string(want.size());
+    for (size_t s = 0; s < got.size(); ++s) {
+        if (got[s].size() != want[s].size())
+            return "snapshot " + std::to_string(s) + " core count";
+        for (size_t t = 0; t < got[s].size(); ++t) {
+            const std::string where = "snapshot " + std::to_string(s) +
+                                      " core " + std::to_string(t);
+            if (got[s][t].size() != want[s][t].size())
+                return where + " entry count " +
+                       std::to_string(got[s][t].size()) + " vs " +
+                       std::to_string(want[s][t].size());
+            for (size_t i = 0; i < got[s][t].size(); ++i) {
+                const MruEntry &a = got[s][t][i];
+                const MruEntry &b = want[s][t][i];
+                if (a.line != b.line || a.written != b.written ||
+                    a.llcDirty != b.llcDirty)
+                    return where + " entry " + std::to_string(i);
+            }
+        }
+    }
+    return "";
+}
+
+/** What the oracle's snapshots hold, so a case cannot pass vacuously. */
+struct CaptureShape
+{
+    uint64_t written = 0;   ///< entries replayed Modified
+    uint64_t llcDirty = 0;  ///< entries replayed with a dirty LLC copy
+    bool evicted = false;   ///< some core list is at its capacity
+};
+
+/**
+ * captureMruSnapshots() at every capacity of @p capacities in one call
+ * must equal the one-loop oracle at each capacity, at 1, 2 and 8
+ * workers, and so must one call per capacity.
+ */
+CaptureShape
+expectCaptureMatchesOracle(const Workload &workload,
+                           const std::vector<uint32_t> &regions,
+                           const std::vector<MruCapacity> &capacities)
+{
+    CaptureShape shape;
+    std::vector<MruSnapshotSet> oracle;
+    for (const MruCapacity &capacity : capacities) {
+        oracle.push_back(legacy::captureMruSnapshots(
+            workload, regions, capacity.lines, capacity.privateLines));
+        for (const auto &snapshot : oracle.back()) {
+            for (const auto &core : snapshot) {
+                shape.evicted |= core.size() == capacity.lines;
+                for (const MruEntry &entry : core) {
+                    shape.written += entry.written;
+                    shape.llcDirty += entry.llcDirty;
+                }
+            }
+        }
+    }
+
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        const std::vector<MruSnapshotSet> sets = captureMruSnapshots(
+            workload, regions, capacities, ExecutionContext(jobs));
+        EXPECT_EQ(sets.size(), capacities.size());
+        for (size_t c = 0; c < sets.size() && c < oracle.size(); ++c) {
+            EXPECT_EQ(firstDifference(sets[c], oracle[c]), "")
+                << "jobs=" << jobs << " capacity " << c;
+        }
+    }
+    for (size_t c = 0; c < capacities.size(); ++c) {
+        EXPECT_EQ(firstDifference(
+                      captureMruSnapshots(workload, regions,
+                                          capacities[c].lines,
+                                          capacities[c].privateLines,
+                                          ExecutionContext(2)),
+                      oracle[c]),
+                  "")
+            << "separate call, capacity " << c;
+    }
+    return shape;
+}
+
+TEST(MruCaptureOracleTest, RegisteredWorkloadAtEightThreads)
+{
+    WorkloadParams params;
+    params.threads = 8;
+    params.scale = 0.15;
+    const auto wl = makeWorkload("npb-cg", params);
+    const unsigned n = wl->regionCount();
+    ASSERT_GE(n, 8u);
+
+    // Regions [2, n - 1) hold no snapshot and log more tracker calls
+    // than capture's 2^18-call budget, so replays also run between
+    // snapshots.
+    uint64_t mem_ops = 0;
+    for (unsigned r = 2; r + 1 < n; ++r)
+        mem_ops += wl->generateRegion(r).totalMemOps();
+    EXPECT_GT(mem_ops, uint64_t(1) << 18);
+
+    const CaptureShape shape = expectCaptureMatchesOracle(
+        *wl, {n - 1, 0, 2, 2, 1},
+        {{64, 8}, {2048, 16}, {1u << 16, 4096}});
+    EXPECT_TRUE(shape.evicted);
+    EXPECT_GT(shape.written, 0u);
+    EXPECT_GT(shape.llcDirty, 0u);
+}
+
+TEST(MruCaptureOracleTest, SixtyFiveThreadsUseTheWiderHolderTier)
+{
+    // 65 threads take the CoreSet<256> coherence records.
+    WorkloadParams params;
+    params.threads = 65;
+    TestWorkloadSpec spec;
+    spec.regions = 8;
+    spec.phases = 3;
+    spec.elemsPerRegion = 1024;
+    spec.footprintLines = 2048;
+    spec.wobble = 0.25;
+    const auto wl = makeTestWorkload(params, spec);
+
+    const CaptureShape shape = expectCaptureMatchesOracle(
+        *wl, {7, 2, 4, 7}, {{16, 2}, {650, 4}, {1u << 14, 4096}});
+    EXPECT_TRUE(shape.evicted);
+    EXPECT_GT(shape.written, 0u);
+    EXPECT_GT(shape.llcDirty, 0u);
+}
+
+TEST(MruCaptureOracleTest, FortyThreadInvalidationsMatch)
+{
+    // Thread 39's store invalidates 39 other trackers' copies.
+    const WideWorkload workload(40);
+    const CaptureShape shape = expectCaptureMatchesOracle(
+        workload, {2, 0, 1, 2}, {{1, 1}, {2, 1}, {4096, 4096}});
+    EXPECT_TRUE(shape.evicted);
+    EXPECT_GT(shape.written, 0u);
+}
+
+// ---------------------------------------------------------- reference
+
+/** The test workload, except that every region from @p failAt on
+ *  throws, naming itself. */
+class FailingWorkload : public Workload
+{
+  public:
+    FailingWorkload(std::unique_ptr<Workload> inner, unsigned fail_at)
+        : Workload("failing", inner->params()), inner_(std::move(inner)),
+          failAt_(fail_at)
+    {}
+
+    unsigned regionCount() const override { return inner_->regionCount(); }
+
+    RegionTrace
+    generateRegion(unsigned index) const override
+    {
+        if (index >= failAt_)
+            throw std::runtime_error("region " + std::to_string(index) +
+                                     " failed");
+        return inner_->generateRegion(index);
+    }
+
+  private:
+    std::unique_ptr<Workload> inner_;
+    unsigned failAt_;
+};
+
+std::string
+referenceFailure(const Workload &workload, const MachineConfig &machine,
+                 unsigned jobs)
+{
+    try {
+        runReference(workload, machine, ExecutionContext(jobs));
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "no failure";
+}
+
+TEST(PipelineTest, ReferenceFailureSurfacesAtTheFailingRegion)
+{
+    // Regions 5.. all throw; with 8 workers several are generated
+    // ahead, yet the run fails at region 5, as the serial one does.
+    const FailingWorkload wl(smallWorkload(2, 16, 3), 5);
+    const auto machine = MachineConfig::withCores(2);
+    EXPECT_EQ(referenceFailure(wl, machine, 1), "region 5 failed");
+    for (const unsigned jobs : {2u, 8u})
+        EXPECT_EQ(referenceFailure(wl, machine, jobs), "region 5 failed")
+            << "jobs=" << jobs;
+}
+
+TEST(PipelineDeathTest, CaptureBeyondTheLastRegionIsCleanlyFatal)
+{
+    // A region index the program does not have is a user error, not
+    // a request to capture from invented regions.
+    const auto wl = smallWorkload(2, 10, 3);
+    EXPECT_EXIT(captureMruSnapshots(*wl, {3, 10}, 4096),
+                ::testing::ExitedWithCode(1), "region 10.* 10 regions");
 }
 
 TEST(PipelineDeathTest, MismatchedSnapshotCountIsCleanlyFatal)

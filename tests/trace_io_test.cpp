@@ -549,6 +549,26 @@ TEST(TraceIoReplayTest, ReplayAnalysisAndEstimateBitIdentical)
               std::bit_cast<uint64_t>(b.llcMisses));
 }
 
+TEST(TraceIoReplayTest, ReplayReferenceBitIdenticalAtAnyWorkerCount)
+{
+    // The reference reads a trace's regions ahead on the pool, each
+    // validated by the TraceReader; every field of every region must
+    // equal the serial run over the direct workload.
+    const auto direct = smallWorkload(4);
+    TempFile file("replay_reference.bptrace");
+    recordWorkload(*direct, file.path());
+    const auto replay = makeTraceWorkload(file.path());
+
+    const MachineConfig machine = MachineConfig::withCores(4);
+    Serializer expected;
+    runReference(*direct, machine, ExecutionContext(1)).serialize(expected);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        Serializer got;
+        runReference(*replay, machine, ExecutionContext(jobs)).serialize(got);
+        EXPECT_EQ(got.buffer(), expected.buffer()) << "jobs=" << jobs;
+    }
+}
+
 TEST(TraceIoReplayTest, SpecIsCanonicalAndCarriesTheContentHash)
 {
     const auto direct = smallWorkload(3);
