@@ -32,6 +32,7 @@ class MiniMd final : public Workload
     RegionTrace
     generateRegion(unsigned index) const override
     {
+        requireRegion(index);
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);
         constexpr uint64_t positions_lines = 8192;   // 512 KB

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "src/profile/mru_tracker.h"
+#include "src/support/cache_aligned.h"
 #include "src/support/core_set.h"
 #include "src/support/flat_map.h"
 #include "src/support/logging.h"
@@ -14,14 +15,24 @@ namespace bp {
 namespace {
 
 /**
+ * Generated ops a profiling batch may hold (4 MB of MicroOps), judged
+ * by the largest region of the batch before it.
+ */
+constexpr uint64_t kBatchOps = uint64_t(1) << 18;
+
+/** Thread profiles a profiling batch may hold. */
+constexpr uint64_t kBatchThreadProfiles = uint64_t(1) << 14;
+
+/**
  * Regions [0, end) of a workload, handed out in order on the calling
- * thread. Trace generation is pure, so on a multi-executor pool up to
- * 2 x threadCount() later regions are generated ahead as pool tasks,
- * and the ring of slots bounds how many traces are held; on one
- * executor each region is generated inline when asked for. A slot is
- * written by its one generation task and read only after that task's
- * future, so a failure at region r surfaces from next() at r, as in
- * the serial loop. The destructor waits for generations in flight.
+ * thread: the reference's feed. Trace generation is pure, so on a
+ * multi-executor pool up to 2 x threadCount() later regions are
+ * generated ahead as pool tasks, and the ring of slots bounds how many
+ * traces are held; on one executor each region is generated inline
+ * when asked for. A slot is written by its one generation task and
+ * read only after that task's future, so a failure at region r
+ * surfaces from next() at r, as in the serial loop. The destructor
+ * waits for generations in flight.
  */
 class RegionStream
 {
@@ -113,15 +124,39 @@ profileWorkloadToSink(const Workload &workload,
                       const ProfilingConfig &profiling,
                       RegionProfileSink &sink, const ExecutionContext &exec)
 {
-    // Reuse-distance state persists across regions, so regions are
-    // profiled in order while the stream generates later ones on the
-    // pool; each region's per-thread streams fan out on the pool too.
+    // Reuse-distance state persists across regions, so regions reach
+    // the profiler in order, a batch of consecutive ones at a time:
+    // the batch's regions are generated as pool tasks, then one task
+    // per workload thread profiles that thread through the batch.
     ThreadPool &pool = exec.pool();
     const unsigned regions = workload.regionCount();
-    RegionProfiler profiler(workload.threadCount(), profiling);
-    RegionStream stream(workload, regions, pool);
-    for (unsigned r = 0; r < regions; ++r)
-        sink.consume(profiler.profileRegion(stream.next(), &pool));
+    const unsigned threads = workload.threadCount();
+    const uint64_t most_regions =
+        std::max<uint64_t>(1, kBatchThreadProfiles / threads);
+    RegionProfiler profiler(threads, profiling);
+    std::vector<RegionTrace> traces;
+    unsigned batch = 1;
+    for (unsigned begin = 0; begin < regions;) {
+        const unsigned end = begin + std::min(batch, regions - begin);
+        traces.assign(end - begin, RegionTrace(0, 0));
+        pool.parallelFor(begin, end, [&](uint64_t r) {
+            traces[r - begin] =
+                workload.generateRegion(static_cast<unsigned>(r));
+        });
+        uint64_t largest = 1;
+        for (const RegionTrace &trace : traces)
+            largest = std::max(largest, trace.totalOps());
+        for (RegionProfile &profile : profiler.profileRegions(traces, &pool))
+            sink.consume(std::move(profile));
+        begin = end;
+        // One executor keeps batches of one region: the serial order.
+        if (pool.threadCount() > 1) {
+            batch = static_cast<unsigned>(std::min<uint64_t>(
+                {2 * uint64_t{batch},
+                 std::max<uint64_t>(1, kBatchOps / largest),
+                 most_regions}));
+        }
+    }
 }
 
 std::vector<std::vector<double>>
@@ -223,12 +258,14 @@ captureMruSnapshotsWide(const Workload &workload,
     std::sort(wanted.begin(), wanted.end());
     const uint32_t last = wanted.back().first;
 
-    // Tracker c * threads + t is core t's at capacity c.
-    std::vector<MruTracker> trackers;
+    // Tracker c * threads + t is core t's at capacity c. Replay tasks
+    // write their trackers on every call, so each has its own lines.
+    std::vector<CacheAligned<MruTracker>> trackers;
     trackers.reserve(capacities.size() * threads);
     for (const MruCapacity &capacity : capacities) {
         for (unsigned t = 0; t < threads; ++t)
-            trackers.emplace_back(capacity.lines, capacity.privateLines);
+            trackers.push_back({MruTracker(capacity.lines,
+                                           capacity.privateLines)});
     }
 
     std::vector<std::vector<uint64_t>> logs(threads);
@@ -239,7 +276,7 @@ captureMruSnapshotsWide(const Workload &workload,
     };
     const auto replay = [&] {
         pool.parallelFor(0, trackers.size(), [&](uint64_t i) {
-            MruTracker &tracker = trackers[i];
+            MruTracker &tracker = trackers[i].value;
             for (const uint64_t event : logs[i % threads]) {
                 const uint64_t line = event >> 2;
                 switch (event & 3) {
@@ -295,7 +332,7 @@ captureMruSnapshotsWide(const Workload &workload,
                     std::max<uint64_t>(1, capacity.lines / threads);
                 MruSnapshotSet &set = sets[i / threads];
                 std::vector<MruEntry> entries =
-                    trackers[i].snapshot(llc_dirty_window);
+                    trackers[i].value.snapshot(llc_dirty_window);
                 for (size_t w = next_wanted; w + 1 < end_wanted; ++w)
                     set[wanted[w].second][t] = entries;
                 set[wanted[end_wanted - 1].second][t] = std::move(entries);

@@ -32,18 +32,27 @@
  *
  * Threading model: inter-barrier regions are independent units of
  * work (the paper's central observation), so every stage runs its
- * region-indexed loop on the ExecutionContext's pool: per-thread
- * profiling in profileWorkload(), signature projection in
- * projectProfiles(), the k sweep and assignment step of clustering,
- * and per-barrierpoint simulation in simulateBarrierPoints(). The two
- * whole-program scans keep their order on the calling thread and put
- * the rest on the pool: profileWorkload() and runReference() consume
- * regions in order while later regions' traces are generated ahead;
- * MRU capture runs one coherence pass in program order and replays
- * its per-core tracker logs as one task per (capacity, core).
- * Determinism contract: results are collected in index order and
- * every task touches only state owned by its index, so output is
- * bit-identical to the serial path for any thread count.
+ * region-indexed loop on the ExecutionContext's pool: signature
+ * projection in projectProfiles(), the k sweep and assignment step of
+ * clustering, and per-barrierpoint simulation in
+ * simulateBarrierPoints(). The three whole-program scans keep program
+ * order where their state needs it and put the rest on the pool:
+ *   - profileWorkload() works in batches of consecutive regions: the
+ *     batch's traces are generated as pool tasks, then one task per
+ *     workload thread profiles that thread through the whole batch
+ *     (a thread's profile depends only on its own streams in region
+ *     order);
+ *   - runReference() simulates every region in order on one machine
+ *     while later regions' traces are generated ahead;
+ *   - MRU capture runs one coherence pass in program order and
+ *     replays its per-core tracker logs as one task per (capacity,
+ *     core).
+ * Per-task state written on every access (reuse collectors, BBV
+ * scratch, MRU trackers) is CacheAligned, so neighbouring tasks do not
+ * share host cache lines. Determinism contract: results are collected
+ * in index order and every task touches only state owned by its
+ * index, so output is bit-identical to the serial path for any thread
+ * count.
  */
 
 #ifndef BP_CORE_PIPELINE_H
@@ -93,9 +102,10 @@ class RegionProfileSink
  * @p profiling selects the reuse-distance mode: the default is exact;
  * SHARDS modes trade a bounded LDV error for ~1/rate less
  * stack-distance work (see profile/profiling_config.h). With a
- * multi-executor @p exec, trace generation runs ahead of the profiler
- * via lookahead prefetch and per-thread profiling fans out, while the
- * region-order reuse-distance state still advances serially.
+ * multi-executor @p exec, regions are profiled in batches of
+ * consecutive ones (see profileWorkloadToSink()); every workload
+ * thread's reuse-distance state still advances in region order, so
+ * the profiles are bit-identical for any executor count.
  */
 std::vector<RegionProfile> profileWorkload(
     const Workload &workload, const ProfilingConfig &profiling = {},
@@ -104,10 +114,21 @@ std::vector<RegionProfile> profileWorkload(
 /**
  * The streaming core of profileWorkload(): profile every region in
  * execution order and hand each finished RegionProfile to @p sink
- * instead of accumulating a vector — memory stays bounded by the
- * trace-generation lookahead ring no matter how many regions the
- * workload has. profileWorkload() is a thin collecting wrapper over
- * this function, so the two are bit-identical per region.
+ * instead of accumulating a vector. profileWorkload() is a thin
+ * collecting wrapper over this function, so the two are bit-identical
+ * per region.
+ *
+ * Work proceeds in batches of consecutive regions. A batch's traces
+ * are generated as pool tasks, one per region; then
+ * RegionProfiler::profileRegions() runs one task per workload thread
+ * over the whole batch; then the batch's profiles reach @p sink in
+ * region order on the calling thread. On a one-executor pool a batch
+ * is one region. Otherwise a batch may at most double the one before,
+ * may hold about 2^18 ops (4 MB of traces) judged by the largest
+ * region of the batch before, and at most 2^14 thread profiles, so
+ * memory stays bounded however many regions the workload has. Batch
+ * sizes change no result. A failure generating region r surfaces as
+ * region r's exception, as in the serial loop.
  */
 void profileWorkloadToSink(const Workload &workload,
                            const ProfilingConfig &profiling,
@@ -140,10 +161,9 @@ BarrierPointAnalysis analyzeWorkload(const Workload &workload,
 /**
  * Detailed simulation of the complete application (the reference).
  * The simulation itself is one machine walking every region in order;
- * with a multi-executor @p exec, later regions' traces are generated
- * (or read and validated, for a trace workload) ahead on the pool,
- * with the same lookahead as profileWorkload(). Bit-identical for any
- * executor count.
+ * with a multi-executor @p exec, up to twice as many later regions as
+ * executors are generated (or read and validated, for a trace
+ * workload) ahead on the pool. Bit-identical for any executor count.
  */
 RunResult runReference(const Workload &workload, const MachineConfig &machine,
                        const ExecutionContext &exec = {});

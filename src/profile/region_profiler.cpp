@@ -1,6 +1,7 @@
 #include "src/profile/region_profiler.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
@@ -110,6 +111,13 @@ sampleReuse(SampledReuseDistanceCollector &reuse, uint64_t line,
     return reuse.access(line, hash);
 }
 
+/** The LDV bucket of @p distance, clamped as Pow2Histogram::add does. */
+unsigned
+ldvBucket(uint64_t distance)
+{
+    return std::min(Pow2Histogram::bucketOf(distance), kLdvBuckets - 1);
+}
+
 /**
  * One thread's profiling of one region through @p reuse. Every
  * admitted access lands in the LDV with its sample's weight — 1 for
@@ -117,6 +125,11 @@ sampleReuse(SampledReuseDistanceCollector &reuse, uint64_t line,
  * a sampled histogram approximates the exact path's mass. The
  * sampling predicate depends only on the shared per-access hash,
  * making the filter free and the output independent of thread count.
+ *
+ * The counts and LDV buckets accumulate in locals and reach
+ * @p thread_profile once: neighbouring threads' profiles, and the
+ * bucket arrays they allocated one after another, share cache lines
+ * that other tasks write.
  */
 template <typename Collector>
 void
@@ -124,15 +137,17 @@ profileThread(const std::vector<MicroOp> &ops, Collector &reuse,
               FlatMap<uint64_t> &bbv, ThreadProfile &thread_profile)
 {
     bbv.clear();
+    uint64_t mem_ops = 0;
+    uint64_t cold_accesses = 0;
+    std::array<uint64_t, kLdvBuckets> ldv{};
     uint64_t lookahead_hash = 0;
     size_t lookahead_index = SIZE_MAX;
     for (size_t i = 0; i < ops.size(); ++i) {
         const MicroOp &op = ops[i];
-        ++thread_profile.instructions;
         ++*bbv.insert(op.bb).first;
         if (!op.isMem())
             continue;
-        ++thread_profile.memOps;
+        ++mem_ops;
         const uint64_t line = lineOf(op.addr);
         // One mix of the line per access (reusing the lookahead's
         // hash when the previous iteration already computed it); the
@@ -150,13 +165,20 @@ profileThread(const std::vector<MicroOp> &ops, Collector &reuse,
         if (!sample.sampled())
             continue;
         if (sample.distance == ReuseDistanceCollector::kCold) {
-            thread_profile.coldAccesses += sample.weight;
-            thread_profile.ldv.add(kColdDistanceMarker, sample.weight);
+            cold_accesses += sample.weight;
+            ldv[ldvBucket(kColdDistanceMarker)] += sample.weight;
         } else {
-            thread_profile.ldv.add(sample.distance, sample.weight);
+            ldv[ldvBucket(sample.distance)] += sample.weight;
         }
     }
 
+    thread_profile.instructions += ops.size();
+    thread_profile.memOps += mem_ops;
+    thread_profile.coldAccesses += cold_accesses;
+    for (unsigned b = 0; b < kLdvBuckets; ++b) {
+        if (ldv[b] > 0)
+            thread_profile.ldv.add(Pow2Histogram::bucketLow(b), ldv[b]);
+    }
     thread_profile.bbv.reserve(bbv.size());
     bbv.forEach([&](uint64_t bb, uint64_t count) {
         thread_profile.bbv.emplace(static_cast<uint32_t>(bb), count);
@@ -175,32 +197,46 @@ RegionProfiler::RegionProfiler(unsigned threads,
     } else {
         sampledReuse_.reserve(threads_);
         for (unsigned t = 0; t < threads_; ++t)
-            sampledReuse_.emplace_back(profiling_);
+            sampledReuse_.push_back(
+                {SampledReuseDistanceCollector(profiling_)});
     }
     bbvScratch_.resize(threads_);
+}
+
+std::vector<RegionProfile>
+RegionProfiler::profileRegions(std::span<const RegionTrace> regions,
+                               ThreadPool *pool)
+{
+    std::vector<RegionProfile> profiles(regions.size());
+    for (size_t r = 0; r < regions.size(); ++r) {
+        BP_ASSERT(regions[r].threadCount() == threads_,
+                  "trace thread count does not match the profiler");
+        profiles[r].regionIndex = regions[r].regionIndex();
+        profiles[r].threads.resize(threads_);
+    }
+
+    // Task t touches only its own collector, bbvScratch_[t] and slot t
+    // of each profile, and takes thread t's streams in region order.
+    parallelFor(pool, 0, threads_, [&](uint64_t t) {
+        for (size_t r = 0; r < regions.size(); ++r) {
+            const std::vector<MicroOp> &ops =
+                regions[r].thread(static_cast<unsigned>(t));
+            ThreadProfile &out = profiles[r].threads[t];
+            if (profiling_.exactMode())
+                profileThread(ops, reuse_[t].value, bbvScratch_[t].value,
+                              out);
+            else
+                profileThread(ops, sampledReuse_[t].value,
+                              bbvScratch_[t].value, out);
+        }
+    });
+    return profiles;
 }
 
 RegionProfile
 RegionProfiler::profileRegion(const RegionTrace &region, ThreadPool *pool)
 {
-    BP_ASSERT(region.threadCount() == threads_,
-              "trace thread count does not match the profiler");
-
-    RegionProfile profile;
-    profile.regionIndex = region.regionIndex();
-    profile.threads.resize(threads_);
-
-    // Thread t touches only its own collector, bbvScratch_[t] and
-    // profile.threads[t].
-    parallelFor(pool, 0, threads_, [&](uint64_t t) {
-        if (profiling_.exactMode())
-            profileThread(region.thread(t), reuse_[t], bbvScratch_[t],
-                          profile.threads[t]);
-        else
-            profileThread(region.thread(t), sampledReuse_[t],
-                          bbvScratch_[t], profile.threads[t]);
-    });
-    return profile;
+    return std::move(profileRegions({&region, 1}, pool).front());
 }
 
 uint64_t
@@ -208,9 +244,9 @@ RegionProfiler::reuseAccesses() const
 {
     uint64_t total = 0;
     for (const auto &collector : reuse_)
-        total += collector.accesses();
+        total += collector.value.accesses();
     for (const auto &collector : sampledReuse_)
-        total += collector.accesses();
+        total += collector.value.accesses();
     return total;
 }
 
@@ -219,9 +255,9 @@ RegionProfiler::trackedReuseAccesses() const
 {
     uint64_t total = 0;
     for (const auto &collector : reuse_)
-        total += collector.accesses();
+        total += collector.value.accesses();
     for (const auto &collector : sampledReuse_)
-        total += collector.sampledAccesses();
+        total += collector.value.sampledAccesses();
     return total;
 }
 

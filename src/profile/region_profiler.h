@@ -15,18 +15,29 @@
  * its lookahead prefetch, BBV counts accumulate in a reusable FlatMap
  * scratch arena instead of allocating `unordered_map` nodes, and the
  * reuse structures themselves are flat (see their headers).
+ *
+ * Each workload thread's profiling touches only that thread's state,
+ * so the threads profile as concurrent pool tasks. Every piece of it
+ * written on each access is alone on its host cache lines: the
+ * collectors and BBV scratch maps are CacheAligned, and a task counts
+ * instructions, memory ops, cold accesses and LDV buckets in locals
+ * that reach the ThreadProfile once per region. Side by side, two
+ * executors writing neighbouring threads' state would trade the same
+ * lines on every access and profile slower than one.
  */
 
 #ifndef BP_PROFILE_REGION_PROFILER_H
 #define BP_PROFILE_REGION_PROFILER_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/profile/profiling_config.h"
 #include "src/profile/reuse_distance.h"
 #include "src/profile/sampled_reuse_distance.h"
+#include "src/support/cache_aligned.h"
 #include "src/support/histogram.h"
 #include "src/trace/region_trace.h"
 
@@ -96,14 +107,24 @@ class RegionProfiler
                             const ProfilingConfig &profiling = {});
 
     /**
-     * Profile one region and advance the persistent LRU state.
+     * Profile consecutive regions and advance the persistent LRU
+     * state past them.
      *
-     * Regions must still arrive in execution order (the LRU stack is
-     * a property of the whole run), but *within* a region every
-     * workload thread's stream touches only that thread's collector,
-     * so the per-thread loop runs on @p pool when one is given —
-     * bit-identical to the serial path.
+     * Regions must arrive in execution order, across calls and within
+     * @p regions (the LRU stack is a property of the whole run). A
+     * workload thread's profile depends only on its own streams taken
+     * in region order, so the work is thread-major: one task per
+     * workload thread, run on @p pool when one is given, walks that
+     * thread's stream through every region of the batch. That is one
+     * fork/join per batch rather than per region, and the result is
+     * bit-identical to profiling region by region, serially or not.
+     *
+     * @return one profile per region, in the order of @p regions
      */
+    std::vector<RegionProfile> profileRegions(
+        std::span<const RegionTrace> regions, ThreadPool *pool = nullptr);
+
+    /** profileRegions() over the one region @p region. */
     RegionProfile profileRegion(const RegionTrace &region,
                                 ThreadPool *pool = nullptr);
 
@@ -124,11 +145,13 @@ class RegionProfiler
   private:
     unsigned threads_;
     ProfilingConfig profiling_;
-    std::vector<ReuseDistanceCollector> reuse_;
-    std::vector<SampledReuseDistanceCollector> sampledReuse_;
+    // Element t belongs to workload thread t's task and is written on
+    // each of its accesses, hence one cache-line lane per thread.
+    std::vector<CacheAligned<ReuseDistanceCollector>> reuse_;
+    std::vector<CacheAligned<SampledReuseDistanceCollector>> sampledReuse_;
     /** Per-thread BBV scratch, reused across regions (no allocation
      *  on the hot path once warm). */
-    std::vector<FlatMap<uint64_t>> bbvScratch_;
+    std::vector<CacheAligned<FlatMap<uint64_t>>> bbvScratch_;
 };
 
 } // namespace bp

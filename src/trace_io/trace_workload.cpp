@@ -35,6 +35,7 @@ TraceWorkload::regionCount() const
 RegionTrace
 TraceWorkload::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     return reader_->readRegion(index);
 }
 

@@ -43,6 +43,7 @@ class Bodytrack final : public Workload
 RegionTrace
 Bodytrack::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

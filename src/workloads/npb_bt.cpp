@@ -44,6 +44,7 @@ class NpbBt final : public Workload
 RegionTrace
 NpbBt::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

@@ -48,6 +48,7 @@ class NpbCg final : public Workload
 RegionTrace
 NpbCg::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

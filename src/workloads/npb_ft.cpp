@@ -65,6 +65,7 @@ NpbFt::emitFftPass(std::vector<MicroOp> &out, uint32_t bb, uint64_t stride,
 RegionTrace
 NpbFt::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

@@ -39,6 +39,7 @@ class NpbIs final : public Workload
 RegionTrace
 NpbIs::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

@@ -39,6 +39,7 @@ class NpbLu final : public Workload
 RegionTrace
 NpbLu::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

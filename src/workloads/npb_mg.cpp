@@ -53,6 +53,7 @@ constexpr uint64_t NpbMg::kStride[];
 RegionTrace
 NpbMg::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

@@ -42,6 +42,7 @@ class NpbSp final : public Workload
 RegionTrace
 NpbSp::generateRegion(unsigned index) const
 {
+    requireRegion(index);
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);
 

@@ -17,6 +17,7 @@ class TestWorkload final : public Workload
     RegionTrace
     generateRegion(unsigned index) const override
     {
+        requireRegion(index);
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);
 

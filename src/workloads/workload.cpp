@@ -27,6 +27,14 @@ Workload::Workload(std::string name, const WorkloadParams &params)
     addressWindow_ = (name_hash & 0x3F) << 38;
 }
 
+void
+Workload::requireRegion(unsigned index) const
+{
+    if (index >= regionCount())
+        fatal("cannot generate region %u: workload %s has %u regions",
+              index, name().c_str(), regionCount());
+}
+
 uint64_t
 Workload::scaled(uint64_t count) const
 {

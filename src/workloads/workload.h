@@ -63,7 +63,9 @@ class Workload
 
     /**
      * Regenerate the dynamic instruction streams of region @p index.
-     * Must be safe to call concurrently (see the file comment).
+     * Must be safe to call concurrently (see the file comment). An
+     * index at or past regionCount() is a user error: implementations
+     * begin with requireRegion(index).
      */
     virtual RegionTrace generateRegion(unsigned index) const = 0;
 
@@ -77,6 +79,12 @@ class Workload
     virtual uint64_t contentHash() const { return 0; }
 
   protected:
+    /**
+     * fatal() unless @p index is below regionCount(): a region the
+     * program does not have has no ops to invent.
+     */
+    void requireRegion(unsigned index) const;
+
     /** Scale an element count by params().scale (at least 4). */
     uint64_t scaled(uint64_t count) const;
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/support/rng.h"
 #include "src/support/serialize.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/test_workload.h"
@@ -171,6 +172,81 @@ TEST(DeterminismTest, RealWorkloadAnalysisIdenticalSerialVsParallel)
 
     expectIdenticalAnalyses(analyzeWorkload(*wl, {}, 1),
                             analyzeWorkload(*wl, {}, 8));
+}
+
+/** Every field of every profile, as the profile artifact stores it. */
+std::vector<uint8_t>
+serializedProfiles(const std::vector<RegionProfile> &profiles)
+{
+    Serializer s;
+    for (const RegionProfile &profile : profiles)
+        profile.serialize(s);
+    return s.buffer();
+}
+
+void
+expectProfilesIdenticalAcrossThreadCounts(const Workload &workload)
+{
+    const std::vector<uint8_t> serial =
+        serializedProfiles(profileWorkload(workload, {}, 1));
+    for (const unsigned threads : {2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EXPECT_EQ(serializedProfiles(profileWorkload(workload, {}, threads)),
+                  serial);
+    }
+}
+
+/**
+ * 1,100 small regions (4 threads of 32-56 ops) and two large ones
+ * (4 x 50,000 ops) at regions 499 and 999. On a pool, profiling
+ * batches double from one region to 256 over the small ones (2^18 ops
+ * allow far more), and a large region, past 2^17 ops, brings the next
+ * batch back to one region.
+ */
+class MixedSizeWorkload : public Workload
+{
+  public:
+    explicit MixedSizeWorkload(const WorkloadParams &params)
+        : Workload("mixed-size", params)
+    {}
+
+    unsigned regionCount() const override { return 1100; }
+
+    RegionTrace
+    generateRegion(unsigned index) const override
+    {
+        requireRegion(index);
+        const unsigned threads = threadCount();
+        RegionTrace trace(index, threads);
+        const uint64_t ops = index % 500 == 499 ? 50000 : 32 + index % 7 * 4;
+        for (unsigned t = 0; t < threads; ++t) {
+            Rng rng = Rng::forTask(params().seed,
+                                   uint64_t{index} * threads + t);
+            std::vector<MicroOp> &stream = trace.thread(t);
+            for (uint64_t i = 0; i < ops; ++i) {
+                const auto bb = static_cast<uint32_t>(rng.nextBounded(16));
+                const uint64_t addr =
+                    arrayBase(0) + rng.nextBounded(4096) * kLineBytes;
+                stream.push_back(i % 3 == 0   ? MicroOp::alu(bb)
+                                 : i % 3 == 1 ? MicroOp::load(bb, addr)
+                                              : MicroOp::store(bb, addr));
+            }
+        }
+        return trace;
+    }
+};
+
+TEST(DeterminismTest, ProfilesIdenticalAcrossBatchSizes)
+{
+    WorkloadParams params;
+    params.threads = 4;
+    expectProfilesIdenticalAcrossThreadCounts(MixedSizeWorkload(params));
+}
+
+TEST(DeterminismTest, FortyThreadProfilesIdenticalAcrossThreadCounts)
+{
+    // More workload threads than executors, and not a multiple of them.
+    expectProfilesIdenticalAcrossThreadCounts(*wobblyWorkload(40));
 }
 
 } // namespace

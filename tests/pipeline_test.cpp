@@ -490,6 +490,42 @@ TEST(PipelineTest, ReferenceFailureSurfacesAtTheFailingRegion)
             << "jobs=" << jobs;
 }
 
+/** What profiling @p workload on @p jobs executors throws, through
+ *  profileWorkload() or, with @p to_sink, profileWorkloadToSink(). */
+std::string
+profileFailure(const Workload &workload, unsigned jobs, bool to_sink)
+{
+    struct DiscardingSink : RegionProfileSink
+    {
+        void consume(RegionProfile &&) override {}
+    };
+    try {
+        if (to_sink) {
+            DiscardingSink sink;
+            profileWorkloadToSink(workload, {}, sink, ExecutionContext(jobs));
+        } else {
+            profileWorkload(workload, {}, ExecutionContext(jobs));
+        }
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "no failure";
+}
+
+TEST(PipelineTest, ProfileFailureSurfacesAtTheFailingRegion)
+{
+    // Regions 5.. all throw; with several workers a batch generates
+    // regions 3 to 6 at once, yet profiling fails at region 5, as the
+    // serial run does.
+    const FailingWorkload wl(smallWorkload(2, 16, 3), 5);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        for (const bool to_sink : {false, true}) {
+            EXPECT_EQ(profileFailure(wl, jobs, to_sink), "region 5 failed")
+                << "jobs=" << jobs << " to_sink=" << to_sink;
+        }
+    }
+}
+
 TEST(PipelineDeathTest, CaptureBeyondTheLastRegionIsCleanlyFatal)
 {
     // A region index the program does not have is a user error, not

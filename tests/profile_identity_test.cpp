@@ -10,7 +10,8 @@
  * implementations (tests/legacy_profile_reference.h) with identical
  * randomized traces — op by op for the trackers, whole regions at
  * thread counts 1/2/8 for RegionProfiler — requiring exact equality
- * everywhere.
+ * everywhere. Batches profiled thread-major (profileRegions) must
+ * equal the same regions profiled one by one, in every mode.
  */
 
 #include <gtest/gtest.h>
@@ -200,6 +201,54 @@ TEST(ProfileIdentityTest, ProfileRegionBitIdenticalToReference)
                 : dut.profileRegion(trace, &pool);
             const RegionProfile want = ref.profileRegion(trace);
             expectSameProfile(got, want);
+        }
+    }
+}
+
+// ------------------------------------------------- batched identity
+
+TEST(ProfileIdentityTest, ProfileRegionsEqualsRegionByRegion)
+{
+    // A batch walked thread-major leaves every thread's collector in
+    // the state region-by-region profiling leaves it, so batches of
+    // any size, on any pool, give the same profiles in every mode.
+    constexpr unsigned kThreads = 4;
+    std::vector<RegionTrace> regions;
+    Rng rng(2718);
+    for (uint32_t r = 0; r < 12; ++r)
+        regions.push_back(randomRegion(r, kThreads, rng));
+
+    for (const ProfilingConfig &profiling :
+         {ProfilingConfig::exact(), ProfilingConfig::sampled(0.01),
+          ProfilingConfig::sampledAdaptive(4096)}) {
+        SCOPED_TRACE(profiling.describe());
+        RegionProfiler serial(kThreads, profiling);
+        std::vector<RegionProfile> want;
+        for (const RegionTrace &region : regions)
+            want.push_back(serial.profileRegion(region));
+
+        for (const unsigned executors : {1u, 2u, 8u}) {
+            SCOPED_TRACE("executors=" + std::to_string(executors));
+            ThreadPool pool(executors);
+            RegionProfiler batched(kThreads, profiling);
+            std::vector<RegionProfile> got;
+            const std::span<const RegionTrace> all(regions);
+            size_t begin = 0;
+            for (const size_t size : {1, 3, 5, 3}) {
+                for (RegionProfile &profile : batched.profileRegions(
+                         all.subspan(begin, size), &pool))
+                    got.push_back(std::move(profile));
+                begin += size;
+            }
+            ASSERT_EQ(begin, regions.size());
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t r = 0; r < got.size(); ++r) {
+                EXPECT_EQ(got[r].regionIndex, want[r].regionIndex);
+                expectSameProfile(got[r], want[r]);
+            }
+            EXPECT_EQ(batched.reuseAccesses(), serial.reuseAccesses());
+            EXPECT_EQ(batched.trackedReuseAccesses(),
+                      serial.trackedReuseAccesses());
         }
     }
 }

@@ -621,5 +621,20 @@ TEST(TraceIoReplayTest, InstantiateRejectsAChangedTraceFile)
                 "no longer matches");
 }
 
+TEST(TraceIoReplayDeathTest, RegionPastTheLastIsCleanlyFatal)
+{
+    // As for every workload: an index past the recording is a user
+    // error (fatal(), exit 1), not an assertion inside the reader.
+    const auto direct = smallWorkload(2);
+    TempFile file("replay_range.bptrace");
+    recordWorkload(*direct, file.path());
+    const auto replay = makeTraceWorkload(file.path());
+    const unsigned count = replay->regionCount();
+    EXPECT_EXIT(replay->generateRegion(count), ::testing::ExitedWithCode(1),
+                "region " + std::to_string(count) +
+                    ": workload trace:.* has " + std::to_string(count) +
+                    " regions");
+}
+
 } // namespace
 } // namespace bp

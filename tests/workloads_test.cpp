@@ -349,5 +349,35 @@ TEST(TestWorkloadTest, WobbleVariesLengths)
     EXPECT_GT(lengths.size(), 3u);
 }
 
+// -------------------------------------------------------- region range
+
+TEST(WorkloadDeathTest, RegionPastTheLastIsCleanlyFatal)
+{
+    // A region the program does not have is a user error, refused
+    // with fatal() (exit 1) by every workload, not a request for
+    // invented ops.
+    WorkloadParams params;
+    params.threads = 4;
+    params.scale = 0.05;
+    std::vector<std::unique_ptr<Workload>> workloads;
+    for (const std::string &name : workloadNames())
+        workloads.push_back(makeWorkload(name, params));
+    TestWorkloadSpec spec;
+    spec.regions = 7;
+    workloads.push_back(makeTestWorkload(params, spec));
+
+    for (const auto &wl : workloads) {
+        SCOPED_TRACE(wl->name());
+        const unsigned count = wl->regionCount();
+        for (const unsigned index : {count, count + 100}) {
+            EXPECT_EXIT(wl->generateRegion(index),
+                        ::testing::ExitedWithCode(1),
+                        "region " + std::to_string(index) + ": workload " +
+                            wl->name() + " has " + std::to_string(count) +
+                            " regions");
+        }
+    }
+}
+
 } // namespace
 } // namespace bp
