@@ -1,7 +1,8 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
+#include <span>
 
 #include "src/profile/mru_tracker.h"
 #include "src/support/cache_aligned.h"
@@ -15,81 +16,70 @@ namespace bp {
 namespace {
 
 /**
- * Generated ops a profiling batch may hold (4 MB of MicroOps), judged
- * by the largest region of the batch before it.
+ * Generated ops a batch may hold (2 MB of MicroOps), judged by the
+ * largest region of the batch before it. Two batches are live at
+ * once, the one consumed and the one generated.
  */
-constexpr uint64_t kBatchOps = uint64_t(1) << 18;
+constexpr uint64_t kBatchOps = uint64_t(1) << 17;
 
 /** Thread profiles a profiling batch may hold. */
 constexpr uint64_t kBatchThreadProfiles = uint64_t(1) << 14;
 
 /**
- * Regions [0, end) of a workload, handed out in order on the calling
- * thread: the reference's feed. Trace generation is pure, so on a
- * multi-executor pool up to 2 x threadCount() later regions are
- * generated ahead as pool tasks, and the ring of slots bounds how many
- * traces are held; on one executor each region is generated inline
- * when asked for. A slot is written by its one generation task and
- * read only after that task's future, so a failure at region r
- * surfaces from next() at r, as in the serial loop. The destructor
- * waits for generations in flight.
+ * Hand regions [begin, end) of @p workload to a scan in consecutive
+ * batches: the one feed of profiling, MRU capture and the reference.
+ * Each step is one parallelFor whose first @p tasks indices run
+ * consume(batch, task) over the current batch while each later index
+ * generates one region of the next batch into its own slot; then
+ * after(batch) runs on the calling thread. Consumers run as pool
+ * tasks, so a parallelFor they issue runs inline: work that fans out
+ * belongs in @p after. No region at or past @p end is generated.
+ *
+ * On a one-executor pool a batch is one region: consume r, then
+ * generate r + 1. Otherwise the next batch is at most twice the
+ * current one, kBatchOps ops judged by its largest region, and
+ * kBatchThreadProfiles thread profiles. parallelFor rethrows the
+ * smallest failing index's exception and generation indices follow
+ * the consumers in region order, so a failure generating region r
+ * surfaces as region r's, as in the serial loop.
  */
-class RegionStream
+void
+forEachRegionBatch(
+    const Workload &workload, unsigned begin, unsigned end, ThreadPool &pool,
+    unsigned tasks,
+    const std::function<void(std::span<const RegionTrace>, unsigned)> &consume,
+    const std::function<void(std::span<const RegionTrace>)> &after)
 {
-  public:
-    RegionStream(const Workload &workload, unsigned end, ThreadPool &pool)
-        : workload_(workload), pool_(pool), end_(end),
-          slots_(pool.threadCount() <= 1
-                     ? 0
-                     : std::min(end, 2 * pool.threadCount()))
-    {}
-
-    RegionStream(const RegionStream &) = delete;
-    RegionStream &operator=(const RegionStream &) = delete;
-
-    ~RegionStream()
-    {
-        for (Slot &slot : slots_) {
-            if (slot.pending.valid())
-                slot.pending.wait();
+    const uint64_t most_regions =
+        std::max<uint64_t>(1, kBatchThreadProfiles / workload.threadCount());
+    std::vector<RegionTrace> batch;
+    std::vector<RegionTrace> ahead;
+    unsigned size = 1;  // regions of the next batch
+    for (unsigned r = begin; r < end || !batch.empty();) {
+        const unsigned count = std::min(size, end - r);
+        const unsigned consumers = batch.empty() ? 0 : tasks;
+        ahead.assign(count, RegionTrace(0, 0));
+        pool.parallelFor(0, consumers + count, [&](uint64_t i) {
+            if (i < consumers)
+                consume(batch, static_cast<unsigned>(i));
+            else
+                ahead[i - consumers] = workload.generateRegion(
+                    r + static_cast<unsigned>(i - consumers));
+        });
+        if (!batch.empty())
+            after(batch);
+        r += count;
+        batch.swap(ahead);
+        if (pool.threadCount() > 1) {
+            uint64_t largest = 1;
+            for (const RegionTrace &trace : batch)
+                largest = std::max(largest, trace.totalOps());
+            size = static_cast<unsigned>(std::min<uint64_t>(
+                {2 * uint64_t{size},
+                 std::max<uint64_t>(1, kBatchOps / largest), most_regions}));
         }
     }
-
-    /** The next region's trace; rethrows its generation's exception. */
-    RegionTrace
-    next()
-    {
-        BP_ASSERT(next_ < end_, "region stream read past its end");
-        if (slots_.empty())
-            return workload_.generateRegion(next_++);
-        // Keep regions [next_, next_ + ring) generating.
-        for (; issued_ < end_ && issued_ < next_ + slots_.size(); ++issued_) {
-            Slot &slot = slots_[issued_ % slots_.size()];
-            slot.pending = pool_.submit([this, &slot, region = issued_] {
-                slot.trace.emplace(workload_.generateRegion(region));
-            });
-        }
-        Slot &slot = slots_[next_++ % slots_.size()];
-        slot.pending.get();
-        RegionTrace trace = std::move(*slot.trace);
-        slot.trace.reset();
-        return trace;
-    }
-
-  private:
-    struct Slot
-    {
-        std::optional<RegionTrace> trace;
-        std::future<void> pending;
-    };
-
-    const Workload &workload_;
-    ThreadPool &pool_;
-    const unsigned end_;
-    unsigned next_ = 0;    ///< the region next() hands out
-    unsigned issued_ = 0;  ///< regions submitted for generation
-    std::vector<Slot> slots_;
-};
+}
 
 } // namespace
 
@@ -124,39 +114,21 @@ profileWorkloadToSink(const Workload &workload,
                       const ProfilingConfig &profiling,
                       RegionProfileSink &sink, const ExecutionContext &exec)
 {
-    // Reuse-distance state persists across regions, so regions reach
-    // the profiler in order, a batch of consecutive ones at a time:
-    // the batch's regions are generated as pool tasks, then one task
-    // per workload thread profiles that thread through the batch.
-    ThreadPool &pool = exec.pool();
-    const unsigned regions = workload.regionCount();
+    // Reuse-distance state persists across regions, so each workload
+    // thread's task walks that thread through a batch in region order.
     const unsigned threads = workload.threadCount();
-    const uint64_t most_regions =
-        std::max<uint64_t>(1, kBatchThreadProfiles / threads);
     RegionProfiler profiler(threads, profiling);
-    std::vector<RegionTrace> traces;
-    unsigned batch = 1;
-    for (unsigned begin = 0; begin < regions;) {
-        const unsigned end = begin + std::min(batch, regions - begin);
-        traces.assign(end - begin, RegionTrace(0, 0));
-        pool.parallelFor(begin, end, [&](uint64_t r) {
-            traces[r - begin] =
-                workload.generateRegion(static_cast<unsigned>(r));
+    std::vector<std::vector<ThreadProfile>> by_thread(threads);
+    forEachRegionBatch(
+        workload, 0, workload.regionCount(), exec.pool(), threads,
+        [&](std::span<const RegionTrace> batch, unsigned t) {
+            by_thread[t] = profiler.profileThread(t, batch);
+        },
+        [&](std::span<const RegionTrace> batch) {
+            for (RegionProfile &profile :
+                 gatherRegionProfiles(batch, by_thread))
+                sink.consume(std::move(profile));
         });
-        uint64_t largest = 1;
-        for (const RegionTrace &trace : traces)
-            largest = std::max(largest, trace.totalOps());
-        for (RegionProfile &profile : profiler.profileRegions(traces, &pool))
-            sink.consume(std::move(profile));
-        begin = end;
-        // One executor keeps batches of one region: the serial order.
-        if (pool.threadCount() > 1) {
-            batch = static_cast<unsigned>(std::min<uint64_t>(
-                {2 * uint64_t{batch},
-                 std::max<uint64_t>(1, kBatchOps / largest),
-                 most_regions}));
-        }
-    }
 }
 
 std::vector<std::vector<double>>
@@ -209,9 +181,22 @@ RunResult
 runReference(const Workload &workload, const MachineConfig &machine,
              const ExecutionContext &exec)
 {
-    RegionStream stream(workload, workload.regionCount(), exec.pool());
-    return simulateFullRun(machine, workload.regionCount(),
-                           [&](unsigned) { return stream.next(); });
+    MultiCoreSim sim(machine);
+    RunResult result;
+    result.regions.reserve(workload.regionCount());
+    double clock = 0.0;
+    forEachRegionBatch(
+        workload, 0, workload.regionCount(), exec.pool(), 1,
+        [&](std::span<const RegionTrace> batch, unsigned) {
+            for (const RegionTrace &trace : batch) {
+                RegionStats &stats =
+                    result.regions.emplace_back(sim.simulateRegion(trace));
+                stats.startCycle = clock;
+                clock += stats.cycles;
+            }
+        },
+        [](std::span<const RegionTrace>) {});
+    return result;
 }
 
 namespace {
@@ -222,7 +207,11 @@ namespace {
  */
 enum TrackerCall : uint64_t { kRead, kWrite, kInvalidate, kDowngrade };
 
-/** Logged calls, over all cores, that trigger a replay (2 MB). */
+/**
+ * Logged calls, over all cores, that trigger a replay (2 MB). It is
+ * checked after each batch, so the logs may exceed it by one batch's
+ * calls.
+ */
 constexpr size_t kReplayBudget = size_t(1) << 18;
 
 /**
@@ -230,8 +219,9 @@ constexpr size_t kReplayBudget = size_t(1) << 18;
  * <= 64-thread case keeps an 8-byte per-line coherence record (wider
  * workloads pay only for the CoreSet capacity tier they need).
  *
- * Two phases. The coherence pass walks the prefix in program order on
- * the calling thread and decides every tracker call: a write
+ * Two phases. The coherence pass walks the prefix in program order, as
+ * the region feed's one consumer task while the feed generates the
+ * next batch, and decides every tracker call: a write
  * invalidates other cores' retained copies; a read of another core's
  * dirty line downgrades it (its dirty data migrates to the LLC). It
  * tracks a holder set and last writer per line, which depend on no
@@ -256,7 +246,6 @@ captureMruSnapshotsWide(const Workload &workload,
     for (size_t i = 0; i < regions.size(); ++i)
         wanted.emplace_back(regions[i], i);
     std::sort(wanted.begin(), wanted.end());
-    const uint32_t last = wanted.back().first;
 
     // Tracker c * threads + t is core t's at capacity c. Replay tasks
     // write their trackers on every call, so each has its own lines.
@@ -307,70 +296,76 @@ captureMruSnapshotsWide(const Workload &workload,
     };
     FlatMap<LineCoherence> coherence;
 
+    // The coherence pass, as the feed's one consumer task.
+    const auto pass = [&](std::span<const RegionTrace> batch, unsigned) {
+        for (const RegionTrace &trace : batch) {
+            for (unsigned t = 0; t < threads; ++t) {
+                for (const MicroOp &op : trace.thread(t)) {
+                    if (!op.isMem())
+                        continue;
+                    const uint64_t line = lineOf(op.addr);
+                    const bool write = op.kind == OpKind::Store;
+                    LineCoherence &lc =
+                        *coherence.insert(line, flatHash(line)).first;
+                    if (write) {
+                        CoreSet<Width> others = lc.holders;
+                        others.clear(t);
+                        others.forEachSetBit([&](unsigned other) {
+                            append(other, line, kInvalidate);
+                        });
+                        lc.holders = CoreSet<Width>::single(t);
+                        lc.writer = static_cast<int16_t>(t);
+                    } else {
+                        if (lc.writer >= 0 &&
+                            lc.writer != static_cast<int16_t>(t)) {
+                            append(lc.writer, line, kDowngrade);
+                            lc.writer = -1;
+                        }
+                        lc.holders.set(t);
+                    }
+                    append(t, line, write ? kWrite : kRead);
+                }
+            }
+        }
+    };
+
     std::vector<MruSnapshotSet> sets(capacities.size(),
                                      MruSnapshotSet(regions.size()));
-    size_t next_wanted = 0;
-    for (uint32_t r = 0; r <= last; ++r) {
-        // Snapshot *before* region r runs: this is the state a
-        // checkpoint taken at barrier r would capture.
+    uint32_t passed = 0;  // regions [0, passed) went through the pass
+    for (size_t next_wanted = 0; next_wanted < wanted.size();) {
+        // Snapshot *before* region `at` runs: this is the state a
+        // checkpoint taken at barrier `at` would capture.
+        const uint32_t at = wanted[next_wanted].first;
+        forEachRegionBatch(workload, passed, at, pool, 1, pass,
+                           [&](std::span<const RegionTrace>) {
+                               if (logged >= kReplayBudget)
+                                   replay();
+                           });
+        passed = at;
         size_t end_wanted = next_wanted;
-        while (end_wanted < wanted.size() && wanted[end_wanted].first == r)
+        while (end_wanted < wanted.size() && wanted[end_wanted].first == at)
             ++end_wanted;
-        if (end_wanted != next_wanted) {
-            replay();
-            for (MruSnapshotSet &set : sets) {
-                for (size_t w = next_wanted; w < end_wanted; ++w)
-                    set[wanted[w].second].resize(threads);
-            }
-            pool.parallelFor(0, trackers.size(), [&](uint64_t i) {
-                const MruCapacity &capacity = capacities[i / threads];
-                const unsigned t = static_cast<unsigned>(i % threads);
-                // Only lines plausibly still resident in the shared LLC
-                // replay a dirty LLC copy; per core that is roughly an
-                // equal share.
-                const uint64_t llc_dirty_window =
-                    std::max<uint64_t>(1, capacity.lines / threads);
-                MruSnapshotSet &set = sets[i / threads];
-                std::vector<MruEntry> entries =
-                    trackers[i].value.snapshot(llc_dirty_window);
-                for (size_t w = next_wanted; w + 1 < end_wanted; ++w)
-                    set[wanted[w].second][t] = entries;
-                set[wanted[end_wanted - 1].second][t] = std::move(entries);
-            });
-            next_wanted = end_wanted;
+        replay();
+        for (MruSnapshotSet &set : sets) {
+            for (size_t w = next_wanted; w < end_wanted; ++w)
+                set[wanted[w].second].resize(threads);
         }
-        if (r == last)
-            break;
-        const RegionTrace trace = workload.generateRegion(r);
-        for (unsigned t = 0; t < threads; ++t) {
-            for (const MicroOp &op : trace.thread(t)) {
-                if (!op.isMem())
-                    continue;
-                const uint64_t line = lineOf(op.addr);
-                const bool write = op.kind == OpKind::Store;
-                LineCoherence &lc =
-                    *coherence.insert(line, flatHash(line)).first;
-                if (write) {
-                    CoreSet<Width> others = lc.holders;
-                    others.clear(t);
-                    others.forEachSetBit([&](unsigned other) {
-                        append(other, line, kInvalidate);
-                    });
-                    lc.holders = CoreSet<Width>::single(t);
-                    lc.writer = static_cast<int16_t>(t);
-                } else {
-                    if (lc.writer >= 0 &&
-                        lc.writer != static_cast<int16_t>(t)) {
-                        append(lc.writer, line, kDowngrade);
-                        lc.writer = -1;
-                    }
-                    lc.holders.set(t);
-                }
-                append(t, line, write ? kWrite : kRead);
-            }
-            if (logged >= kReplayBudget)
-                replay();
-        }
+        pool.parallelFor(0, trackers.size(), [&](uint64_t i) {
+            const MruCapacity &capacity = capacities[i / threads];
+            const unsigned t = static_cast<unsigned>(i % threads);
+            // Only lines plausibly still resident in the shared LLC
+            // replay a dirty LLC copy; per core that is roughly an
+            // equal share.
+            const uint64_t llc_dirty_window =
+                std::max<uint64_t>(1, capacity.lines / threads);
+            MruSnapshotSet &set = sets[i / threads];
+            std::vector<MruEntry> entries =
+                trackers[i].value.snapshot(llc_dirty_window);
+            for (size_t w = next_wanted; w + 1 < end_wanted; ++w)
+                set[wanted[w].second][t] = entries;
+            set[wanted[end_wanted - 1].second][t] = std::move(entries);
+        });
+        next_wanted = end_wanted;
     }
     return sets;
 }

@@ -36,16 +36,15 @@
  * projection in projectProfiles(), the k sweep and assignment step of
  * clustering, and per-barrierpoint simulation in
  * simulateBarrierPoints(). The three whole-program scans keep program
- * order where their state needs it and put the rest on the pool:
- *   - profileWorkload() works in batches of consecutive regions: the
- *     batch's traces are generated as pool tasks, then one task per
- *     workload thread profiles that thread through the whole batch
- *     (a thread's profile depends only on its own streams in region
- *     order);
- *   - runReference() simulates every region in order on one machine
- *     while later regions' traces are generated ahead;
- *   - MRU capture runs one coherence pass in program order and
- *     replays its per-core tracker logs as one task per (capacity,
+ * order where their state needs it. One region feed hands each its
+ * regions in batches of consecutive ones, the scan's tasks consuming
+ * one batch while the other executors generate the next:
+ *   - profileWorkload(): one task per workload thread walks that
+ *     thread through the batch (a thread's profile depends only on its
+ *     own streams in region order);
+ *   - runReference(): one task, the machine, simulates every region;
+ *   - MRU capture: one task runs the coherence pass; between batches
+ *     its per-core tracker logs replay as one task per (capacity,
  *     core).
  * Per-task state written on every access (reuse collectors, BBV
  * scratch, MRU trackers) is CacheAligned, so neighbouring tasks do not
@@ -103,9 +102,10 @@ class RegionProfileSink
  * SHARDS modes trade a bounded LDV error for ~1/rate less
  * stack-distance work (see profile/profiling_config.h). With a
  * multi-executor @p exec, regions are profiled in batches of
- * consecutive ones (see profileWorkloadToSink()); every workload
- * thread's reuse-distance state still advances in region order, so
- * the profiles are bit-identical for any executor count.
+ * consecutive ones while the next batch is generated (see
+ * profileWorkloadToSink()); every workload thread's reuse-distance
+ * state still advances in region order, so the profiles are
+ * bit-identical for any executor count.
  */
 std::vector<RegionProfile> profileWorkload(
     const Workload &workload, const ProfilingConfig &profiling = {},
@@ -118,17 +118,16 @@ std::vector<RegionProfile> profileWorkload(
  * collecting wrapper over this function, so the two are bit-identical
  * per region.
  *
- * Work proceeds in batches of consecutive regions. A batch's traces
- * are generated as pool tasks, one per region; then
- * RegionProfiler::profileRegions() runs one task per workload thread
- * over the whole batch; then the batch's profiles reach @p sink in
- * region order on the calling thread. On a one-executor pool a batch
- * is one region. Otherwise a batch may at most double the one before,
- * may hold about 2^18 ops (4 MB of traces) judged by the largest
- * region of the batch before, and at most 2^14 thread profiles, so
- * memory stays bounded however many regions the workload has. Batch
- * sizes change no result. A failure generating region r surfaces as
- * region r's exception, as in the serial loop.
+ * Work proceeds in batches of consecutive regions. One pool task per
+ * workload thread walks that thread through the batch with
+ * RegionProfiler::profileThread() while the other executors generate
+ * the next batch; then the batch's profiles reach @p sink in region
+ * order on the calling thread. On a one-executor pool a batch is one
+ * region. Otherwise a batch may at most double the one before and
+ * holds at most about 2^17 ops (2 MB of traces) and 2^14 thread
+ * profiles, so memory stays bounded however many regions the workload
+ * has. Batch sizes change no result. A failure generating region r
+ * surfaces as region r's exception, as in the serial loop.
  */
 void profileWorkloadToSink(const Workload &workload,
                            const ProfilingConfig &profiling,
@@ -160,10 +159,10 @@ BarrierPointAnalysis analyzeWorkload(const Workload &workload,
 
 /**
  * Detailed simulation of the complete application (the reference).
- * The simulation itself is one machine walking every region in order;
- * with a multi-executor @p exec, up to twice as many later regions as
- * executors are generated (or read and validated, for a trace
- * workload) ahead on the pool. Bit-identical for any executor count.
+ * The simulation itself is one machine walking every region in order,
+ * as one pool task; with a multi-executor @p exec, the other executors
+ * generate (or read and validate, for a trace workload) the next batch
+ * of regions meanwhile. Bit-identical for any executor count.
  */
 RunResult runReference(const Workload &workload, const MachineConfig &machine,
                        const ExecutionContext &exec = {});
@@ -216,9 +215,11 @@ struct MruCapacity
  *                    with fatal()
  * @param capacities  per-core tracker capacities; the paper uses the
  *                    largest shared-LLC capacity simulated
- * @param exec        the coherence pass runs in program order on the
- *                    calling thread; the trackers replay its per-core
- *                    logs, and take their snapshots, as pool tasks
+ * @param exec        the coherence pass runs in program order as one
+ *                    pool task while the other executors generate the
+ *                    next batch of regions; the trackers replay its
+ *                    per-core logs, and take their snapshots, as pool
+ *                    tasks between batches
  * @return one MruSnapshotSet per entry of @p capacities, each holding
  *         one snapshot (per-core entry lists, LRU->MRU) per requested
  *         region, keyed by position in @p regions; bit-identical for

@@ -27,6 +27,20 @@ RegionProfile::memOps() const
     return total;
 }
 
+std::vector<RegionProfile>
+gatherRegionProfiles(std::span<const RegionTrace> regions,
+                     std::vector<std::vector<ThreadProfile>> &by_thread)
+{
+    std::vector<RegionProfile> profiles(regions.size());
+    for (size_t r = 0; r < regions.size(); ++r) {
+        profiles[r].regionIndex = regions[r].regionIndex();
+        profiles[r].threads.reserve(by_thread.size());
+        for (std::vector<ThreadProfile> &thread : by_thread)
+            profiles[r].threads.push_back(std::move(thread[r]));
+    }
+    return profiles;
+}
+
 void
 ThreadProfile::serialize(Serializer &s) const
 {
@@ -133,7 +147,7 @@ ldvBucket(uint64_t distance)
  */
 template <typename Collector>
 void
-profileThread(const std::vector<MicroOp> &ops, Collector &reuse,
+profileStream(const std::vector<MicroOp> &ops, Collector &reuse,
               FlatMap<uint64_t> &bbv, ThreadProfile &thread_profile)
 {
     bbv.clear();
@@ -203,34 +217,35 @@ RegionProfiler::RegionProfiler(unsigned threads,
     bbvScratch_.resize(threads_);
 }
 
+std::vector<ThreadProfile>
+RegionProfiler::profileThread(unsigned thread,
+                              std::span<const RegionTrace> regions)
+{
+    BP_ASSERT(thread < threads_, "profiled thread out of range");
+    std::vector<ThreadProfile> profiles(regions.size());
+    for (size_t r = 0; r < regions.size(); ++r) {
+        BP_ASSERT(regions[r].threadCount() == threads_,
+                  "trace thread count does not match the profiler");
+        const std::vector<MicroOp> &ops = regions[r].thread(thread);
+        if (profiling_.exactMode())
+            profileStream(ops, reuse_[thread].value,
+                          bbvScratch_[thread].value, profiles[r]);
+        else
+            profileStream(ops, sampledReuse_[thread].value,
+                          bbvScratch_[thread].value, profiles[r]);
+    }
+    return profiles;
+}
+
 std::vector<RegionProfile>
 RegionProfiler::profileRegions(std::span<const RegionTrace> regions,
                                ThreadPool *pool)
 {
-    std::vector<RegionProfile> profiles(regions.size());
-    for (size_t r = 0; r < regions.size(); ++r) {
-        BP_ASSERT(regions[r].threadCount() == threads_,
-                  "trace thread count does not match the profiler");
-        profiles[r].regionIndex = regions[r].regionIndex();
-        profiles[r].threads.resize(threads_);
-    }
-
-    // Task t touches only its own collector, bbvScratch_[t] and slot t
-    // of each profile, and takes thread t's streams in region order.
+    std::vector<std::vector<ThreadProfile>> by_thread(threads_);
     parallelFor(pool, 0, threads_, [&](uint64_t t) {
-        for (size_t r = 0; r < regions.size(); ++r) {
-            const std::vector<MicroOp> &ops =
-                regions[r].thread(static_cast<unsigned>(t));
-            ThreadProfile &out = profiles[r].threads[t];
-            if (profiling_.exactMode())
-                profileThread(ops, reuse_[t].value, bbvScratch_[t].value,
-                              out);
-            else
-                profileThread(ops, sampledReuse_[t].value,
-                              bbvScratch_[t].value, out);
-        }
+        by_thread[t] = profileThread(static_cast<unsigned>(t), regions);
     });
-    return profiles;
+    return gatherRegionProfiles(regions, by_thread);
 }
 
 RegionProfile

@@ -93,6 +93,15 @@ struct RegionProfile
     void deserialize(Deserializer &d);
 };
 
+/**
+ * The profiles of @p regions from per-thread ones: @p by_thread[t][r]
+ * is workload thread t's profile of regions[r], as
+ * RegionProfiler::profileThread() returns them. They are moved out.
+ */
+std::vector<RegionProfile> gatherRegionProfiles(
+    std::span<const RegionTrace> regions,
+    std::vector<std::vector<ThreadProfile>> &by_thread);
+
 /** Streaming profiler; feed regions in execution order. */
 class RegionProfiler
 {
@@ -107,19 +116,22 @@ class RegionProfiler
                             const ProfilingConfig &profiling = {});
 
     /**
-     * Profile consecutive regions and advance the persistent LRU
-     * state past them.
+     * Profile workload thread @p thread through consecutive regions and
+     * advance its persistent LRU state past them. Regions must arrive
+     * in execution order, across calls and within @p regions (the LRU
+     * stack is a property of the whole run). A call touches only
+     * thread @p thread's state, so calls for distinct threads may run
+     * concurrently.
      *
-     * Regions must arrive in execution order, across calls and within
-     * @p regions (the LRU stack is a property of the whole run). A
-     * workload thread's profile depends only on its own streams taken
-     * in region order, so the work is thread-major: one task per
-     * workload thread, run on @p pool when one is given, walks that
-     * thread's stream through every region of the batch. That is one
-     * fork/join per batch rather than per region, and the result is
+     * @return the thread's profile of each of @p regions, in order
+     */
+    std::vector<ThreadProfile> profileThread(
+        unsigned thread, std::span<const RegionTrace> regions);
+
+    /**
+     * profileThread() for every workload thread, one task per thread on
+     * @p pool when one is given, gathered into one profile per region:
      * bit-identical to profiling region by region, serially or not.
-     *
-     * @return one profile per region, in the order of @p regions
      */
     std::vector<RegionProfile> profileRegions(
         std::span<const RegionTrace> regions, ThreadPool *pool = nullptr);

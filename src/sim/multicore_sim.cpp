@@ -102,21 +102,4 @@ MultiCoreSim::reset()
         core.reset();
 }
 
-RunResult
-simulateFullRun(const MachineConfig &machine, unsigned num_regions,
-                const std::function<RegionTrace(unsigned)> &provider)
-{
-    MultiCoreSim sim(machine);
-    RunResult result;
-    result.regions.reserve(num_regions);
-    double clock = 0.0;
-    for (unsigned r = 0; r < num_regions; ++r) {
-        RegionStats stats = sim.simulateRegion(provider(r));
-        stats.startCycle = clock;
-        clock += stats.cycles;
-        result.regions.push_back(stats);
-    }
-    return result;
-}
-
 } // namespace bp

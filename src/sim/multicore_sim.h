@@ -13,7 +13,6 @@
 #ifndef BP_SIM_MULTICORE_SIM_H
 #define BP_SIM_MULTICORE_SIM_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,7 +34,7 @@ class MultiCoreSim
     /**
      * Simulate one inter-barrier region on the current machine state.
      * Cache contents persist across calls, so consecutive calls model
-     * a full run.
+     * a full run (runReference() in core/pipeline.h).
      */
     RegionStats simulateRegion(const RegionTrace &region);
 
@@ -67,19 +66,6 @@ class MultiCoreSim
     MemSystem mem_;
     std::vector<CoreModel> cores_;
 };
-
-/**
- * Simulate all regions of an application back to back on a fresh
- * machine — the detailed reference run sampled simulation is judged
- * against.
- *
- * @param machine      target configuration
- * @param num_regions  number of inter-barrier regions
- * @param provider     callback producing the trace of region i
- */
-RunResult simulateFullRun(
-    const MachineConfig &machine, unsigned num_regions,
-    const std::function<RegionTrace(unsigned)> &provider);
 
 } // namespace bp
 

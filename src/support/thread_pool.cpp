@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #include "src/support/logging.h"
 #include "src/support/mutex.h"
@@ -18,8 +19,9 @@ namespace {
  */
 thread_local bool tl_inside_pool_worker = false;
 
-/** Shared state of one parallelFor invocation. */
-struct ForJob
+} // namespace
+
+struct ThreadPool::ForJob
 {
     const std::function<void(uint64_t)> *fn;
     uint64_t end;
@@ -67,9 +69,17 @@ struct ForJob
             }
         }
     }
-};
 
-} // namespace
+    /** A queued helper: drain, then count itself out. */
+    void
+    help()
+    {
+        drain();
+        MutexLock lock(mutex);
+        if (active.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            done.notify_all();
+    }
+};
 
 unsigned
 ThreadPool::hardwareThreads()
@@ -103,7 +113,7 @@ ThreadPool::workerLoop()
 {
     tl_inside_pool_worker = true;
     for (;;) {
-        std::function<void()> task;
+        std::shared_ptr<ForJob> job;
         {
             UniqueLock lock(mutex_);
             // Manual predicate loop: the analysis can prove these
@@ -113,31 +123,11 @@ ThreadPool::workerLoop()
                 wake_.wait(lock);
             if (queue_.empty())
                 return;  // stop_ set and queue drained
-            task = std::move(queue_.front().task);
+            job = std::move(queue_.front());
             queue_.pop_front();
         }
-        task();
+        job->help();
     }
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    auto packaged = std::make_shared<std::packaged_task<void()>>(
-        std::move(task));
-    std::future<void> future = packaged->get_future();
-    if (workers_.empty() || tl_inside_pool_worker) {
-        // No one else to run it (or we *are* the pool): run inline.
-        (*packaged)();
-        return future;
-    }
-    {
-        MutexLock lock(mutex_);
-        BP_ASSERT(!stop_, "submit() on a stopped pool");
-        queue_.push_back({[packaged] { (*packaged)(); }, nullptr});
-    }
-    wake_.notify_one();
-    return future;
 }
 
 void
@@ -173,14 +163,7 @@ ThreadPool::parallelFor(uint64_t begin, uint64_t end,
         BP_ASSERT(!stop_, "parallelFor() on a stopped pool");
         for (size_t h = 0; h < helpers; ++h) {
             job->active.fetch_add(1, std::memory_order_relaxed);
-            queue_.push_back({[job] {
-                job->drain();
-                MutexLock lock(job->mutex);
-                if (job->active.fetch_sub(
-                        1, std::memory_order_acq_rel) == 1) {
-                    job->done.notify_all();
-                }
-            }, job.get()});
+            queue_.push_back(job);
         }
     }
     wake_.notify_all();
@@ -194,17 +177,11 @@ ThreadPool::parallelFor(uint64_t begin, uint64_t end,
     tl_inside_pool_worker = false;
 
     // The index space is exhausted; helpers still queued behind other
-    // work (e.g. prefetch tasks) would be no-ops — cancel them rather
-    // than sleep until they surface.
+    // work (e.g. another caller's parallelFor helpers) would be no-ops
+    // — cancel them rather than sleep until they surface.
     {
         MutexLock lock(mutex_);
-        unsigned cancelled = 0;
-        std::erase_if(queue_, [&](const QueueEntry &entry) {
-            if (entry.tag != job.get())
-                return false;
-            ++cancelled;
-            return true;
-        });
+        const auto cancelled = static_cast<unsigned>(std::erase(queue_, job));
         if (cancelled > 0) {
             MutexLock job_lock(job->mutex);
             job->active.fetch_sub(cancelled, std::memory_order_acq_rel);

@@ -33,7 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -64,13 +64,6 @@ class ThreadPool
 
     /** @return the concurrency the hardware reports (at least 1). */
     static unsigned hardwareThreads();
-
-    /**
-     * Queue one task for asynchronous execution. The future rethrows
-     * any exception the task threw. Independent of parallelFor();
-     * usable for pipeline-style prefetching.
-     */
-    std::future<void> submit(std::function<void()> task);
 
     /**
      * Run fn(i) for every i in [begin, end) and block until all
@@ -109,17 +102,8 @@ class ThreadPool
     }
 
   private:
-    /**
-     * One queued task. @p tag identifies the parallelFor invocation
-     * that enqueued a helper (null for submit()ed tasks), so a
-     * finished parallelFor can cancel helpers that never started
-     * instead of waiting for them to be popped behind unrelated work.
-     */
-    struct QueueEntry
-    {
-        std::function<void()> task;
-        const void *tag = nullptr;
-    };
+    /** Shared state of one parallelFor invocation. */
+    struct ForJob;
 
     void workerLoop();
 
@@ -130,7 +114,13 @@ class ThreadPool
     mutable Mutex mutex_;
     /** Signalled under mutex_ on new work and on shutdown. */
     ConditionVariable wake_;
-    std::deque<QueueEntry> queue_ BP_GUARDED_BY(mutex_);
+    /**
+     * One entry per queued parallelFor helper, naming its invocation,
+     * so a finished parallelFor can cancel its helpers that never
+     * started instead of waiting for them to be popped behind other
+     * invocations' helpers.
+     */
+    std::deque<std::shared_ptr<ForJob>> queue_ BP_GUARDED_BY(mutex_);
     bool stop_ BP_GUARDED_BY(mutex_) = false;
 };
 

@@ -526,6 +526,86 @@ TEST(PipelineTest, ProfileFailureSurfacesAtTheFailingRegion)
     }
 }
 
+/** What capturing MRU snapshots at @p regions of @p workload on
+ *  @p jobs executors throws. */
+std::string
+captureFailure(const Workload &workload, const std::vector<uint32_t> &regions,
+               unsigned jobs)
+{
+    try {
+        captureMruSnapshots(workload, regions, 4096, 4096,
+                            ExecutionContext(jobs));
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "no failure";
+}
+
+TEST(PipelineTest, CaptureFailureSurfacesAtTheFailingRegion)
+{
+    // Regions 5.. all throw. A snapshot at region 8 runs regions 3 to 7
+    // through the coherence pass, generated in batches, yet capture
+    // fails at region 5, as the serial one does. Snapshots at {3, 5}
+    // need no region from 5 on, so none is generated and none fails.
+    const FailingWorkload wl(smallWorkload(2, 16, 3), 5);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        EXPECT_EQ(captureFailure(wl, {3, 8}, jobs), "region 5 failed")
+            << "jobs=" << jobs;
+        EXPECT_EQ(captureFailure(wl, {3, 5}, jobs), "no failure")
+            << "jobs=" << jobs;
+    }
+}
+
+/** Five regions of ALU ops on two threads: region r gives each thread
+ *  100 x (r + 1) of them. */
+class AluWorkload : public Workload
+{
+  public:
+    AluWorkload() : Workload("alu-test", twoThreads()) {}
+
+    unsigned regionCount() const override { return 5; }
+
+    RegionTrace
+    generateRegion(unsigned index) const override
+    {
+        requireRegion(index);
+        RegionTrace trace(index, 2);
+        for (unsigned t = 0; t < 2; ++t) {
+            for (unsigned i = 0; i < 100 * (index + 1); ++i)
+                trace.thread(t).push_back(MicroOp::alu(1));
+        }
+        return trace;
+    }
+
+  private:
+    static WorkloadParams
+    twoThreads()
+    {
+        WorkloadParams params;
+        params.threads = 2;
+        return params;
+    }
+};
+
+TEST(PipelineTest, RunReferenceAccumulates)
+{
+    const AluWorkload wl;
+    const MachineConfig machine = MachineConfig::withCores(2);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const RunResult run = runReference(wl, machine, jobs);
+        ASSERT_EQ(run.regions.size(), 5u);
+        EXPECT_EQ(run.totalInstructions(), 2u * 100 * (1 + 2 + 3 + 4 + 5));
+        // Start cycles must be cumulative.
+        double clock = 0.0;
+        for (const auto &region : run.regions) {
+            EXPECT_DOUBLE_EQ(region.startCycle, clock);
+            clock += region.cycles;
+        }
+        EXPECT_DOUBLE_EQ(run.totalCycles(), clock);
+    }
+}
+
 TEST(PipelineDeathTest, CaptureBeyondTheLastRegionIsCleanlyFatal)
 {
     // A region index the program does not have is a user error, not

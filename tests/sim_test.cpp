@@ -361,28 +361,6 @@ TEST(MultiCoreSimTest, DeterministicAcrossRuns)
     EXPECT_EQ(ra.mem.dramReads, rb.mem.dramReads);
 }
 
-TEST(MultiCoreSimTest, SimulateFullRunAccumulates)
-{
-    const MachineConfig cfg = MachineConfig::withCores(2);
-    const RunResult run = simulateFullRun(cfg, 5, [](unsigned r) {
-        RegionTrace trace(r, 2);
-        for (unsigned t = 0; t < 2; ++t) {
-            for (unsigned i = 0; i < 100 * (r + 1); ++i)
-                trace.thread(t).push_back(MicroOp::alu(1));
-        }
-        return trace;
-    });
-    ASSERT_EQ(run.regions.size(), 5u);
-    EXPECT_EQ(run.totalInstructions(), 2u * 100 * (1 + 2 + 3 + 4 + 5));
-    // Start cycles must be cumulative.
-    double clock = 0.0;
-    for (const auto &region : run.regions) {
-        EXPECT_DOUBLE_EQ(region.startCycle, clock);
-        clock += region.cycles;
-    }
-    EXPECT_DOUBLE_EQ(run.totalCycles(), clock);
-}
-
 // ------------------------------------------------------------ SimStats
 
 TEST(SimStatsTest, DerivedMetrics)

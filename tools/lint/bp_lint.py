@@ -47,6 +47,13 @@ once, so review never has to re-catch it:
                     checksum, so a second copy of either is a format
                     that can drift.
 
+  one-pool          std::thread, jthread, async, future, promise or
+                    packaged_task outside src/support/thread_pool.* and
+                    tests/ (which drive the pool from outside threads
+                    on purpose): the pool's parallelFor is the one
+                    execution model, and a second one needs its own
+                    proof of ordering, failure and joins.
+
 Usage:
   bp_lint.py [--root DIR] [--diff-base REF] [--list-rules]
   bp_lint.py --self-test
@@ -79,6 +86,8 @@ SERIALIZED_STRUCTS = ("WorkloadSpec", "ProfileArtifact", "AnalysisArtifact",
                       "SnapshotArtifact", "RunResultArtifact")
 
 CODEC_FILE = "src/support/serialize.h"
+
+POOL_EXEMPT_PREFIXES = ("src/support/thread_pool.", "tests/")
 
 
 class Finding:
@@ -270,6 +279,21 @@ def check_one_codec(rel_path, code):
         for match in FNV_CONSTANT_RE.finditer(code)]
 
 
+THREADING_RE = re.compile(
+    r"\bstd\s*::\s*(thread|jthread|async|future|promise|packaged_task)\b")
+
+
+def check_one_pool(rel_path, code):
+    if rel_path.startswith(POOL_EXEMPT_PREFIXES):
+        return []
+    return [Finding(
+        "one-pool", rel_path, line_of(code, match.start()),
+        f"std::{match.group(1)} outside the thread pool: run the work as "
+        "parallelFor() indices on the ExecutionContext's pool "
+        "(src/support/thread_pool.h)")
+        for match in THREADING_RE.finditer(code)]
+
+
 HUNK_RE = re.compile(r"@@ [^@]* @@ ?(.*)")
 TYPE_HEAD_RE = re.compile(r"(?:struct|class)\s+(\w+)")
 
@@ -379,6 +403,7 @@ def lint_tree(root, diff_base=None):
         findings.extend(check_mutex_guards(rel_path, code))
         findings.extend(check_header_guard(rel_path, raw_text, code))
         findings.extend(check_one_codec(rel_path, code))
+        findings.extend(check_one_pool(rel_path, code))
     findings.extend(
         check_artifact_version(collect_git_diff(root, diff_base)))
     return findings
@@ -403,6 +428,12 @@ struct Clean
 const char *example = "atoi(argv[1]) inside a string literal";
 } // namespace bp
 #endif // BP_FIXTURE_CLEAN_H
+"""
+
+POOL_FIXTURE = """\
+#pragma once
+#include <future>
+struct Slot { std::promise<void> ready; };
 """
 
 VIOLATION_FIXTURES = (
@@ -438,6 +469,7 @@ struct Unguarded
     ("header-guard", """\
 struct NoGuard {};
 """),
+    ("one-pool", POOL_FIXTURE),
 )
 
 ARTIFACT_VIOLATION_DIFF = """\
@@ -519,6 +551,12 @@ def run_self_test():
                                 f"violation fixture {i}")
             os.remove(path)
 
+        os.makedirs(os.path.join(tmp, "tests"))
+        with open(os.path.join(tmp, "tests", "pool_fixture.h"), "w",
+                  encoding="utf-8") as f:
+            f.write(POOL_FIXTURE)
+        expect(not lint_tree(tmp), "rule 'one-pool' exempts tests/")
+
     violated = check_artifact_version(ARTIFACT_VIOLATION_DIFF)
     expect(bool(violated),
            "rule 'artifact-version' fires on a serialized-struct diff "
@@ -559,7 +597,7 @@ def main(argv):
 
     if args.list_rules:
         print("shift-variable raw-parse mutex-guard header-guard "
-              "artifact-version one-codec")
+              "artifact-version one-codec one-pool")
         return 0
     if args.self_test:
         return run_self_test()
