@@ -470,6 +470,41 @@ TEST(ArtifactsTest, PayloadDigestsArePinned)
     EXPECT_EQ(artifactPayloadDigest(profile.path()), 0x81778be84d722206ull);
 }
 
+TEST(ArtifactsTest, ProfilerOutputDigestsArePinned)
+{
+    // The bytes the profiler itself produces, in every reuse-distance
+    // mode and at one and two executors. npb-ft at 4 threads touches
+    // about 4,000 lines per thread, so a 1,024-line adaptive budget
+    // lowers the sampling threshold.
+    WorkloadParams params;
+    params.threads = 4;
+    params.scale = 0.25;
+    const std::unique_ptr<Workload> workload = makeWorkload("npb-ft", params);
+    const struct
+    {
+        ProfilingConfig profiling;
+        uint64_t digest;
+    } cases[] = {
+        {ProfilingConfig::exact(), 0x6841b7f48dba8611ull},
+        {ProfilingConfig::sampled(0.01), 0xbd613a26e71b2a86ull},
+        {ProfilingConfig::sampledAdaptive(1024), 0xb1bd83a010b62e55ull},
+    };
+    TempFile file("profiler_output.bp");
+    for (const auto &c : cases) {
+        for (unsigned executors : {1u, 2u}) {
+            ProfileArtifact artifact;
+            artifact.workload = WorkloadSpec::describe(*workload);
+            artifact.profiling = c.profiling;
+            artifact.profiles =
+                profileWorkload(*workload, c.profiling, executors);
+            saveArtifact(file.path(), artifact);
+            EXPECT_EQ(fileDigest(file.path()), c.digest)
+                << c.profiling.describe() << " at " << executors
+                << " executors: 0x" << std::hex << fileDigest(file.path());
+        }
+    }
+}
+
 /**
  * Rewrite the artifact at @p path, whose payload ends in an element
  * count of zero, so that the count reads @p count and @p count zero
