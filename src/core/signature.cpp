@@ -64,9 +64,9 @@ collectLdv(const RegionProfile &profile, bool concat, double inv_v,
 {
     for (unsigned t = 0; t < profile.threads.size(); ++t) {
         const unsigned slot = concat ? t : 0;
-        const Pow2Histogram &ldv = profile.threads[t].ldv;
-        for (unsigned b = 0; b < ldv.numBuckets(); ++b) {
-            const uint64_t count = ldv.bucket(b);
+        const auto &ldv = profile.threads[t].ldv;
+        for (unsigned b = 0; b < kLdvBuckets; ++b) {
+            const uint64_t count = ldv[b];
             if (count == 0)
                 continue;
             double value = static_cast<double>(count);

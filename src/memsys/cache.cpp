@@ -104,15 +104,6 @@ SetAssocCache::invalidate(uint64_t line)
     return prior;
 }
 
-void
-SetAssocCache::reset()
-{
-    std::fill(tags_.begin(), tags_.end(), kNoLine);
-    std::fill(lru_.begin(), lru_.end(), 0);
-    std::fill(states_.begin(), states_.end(), LineState::Invalid);
-    std::fill(clock_.begin(), clock_.end(), 0);
-}
-
 uint64_t
 SetAssocCache::occupancy() const
 {

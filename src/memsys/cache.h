@@ -125,9 +125,6 @@ class SetAssocCache
      */
     LineState invalidate(uint64_t line);
 
-    /** Drop all contents (cold cache). */
-    void reset();
-
     /** @return number of valid lines currently resident. */
     uint64_t occupancy() const;
 

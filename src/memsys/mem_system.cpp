@@ -486,21 +486,6 @@ MemSystem::beginRegion(unsigned active_threads)
     }
 }
 
-void
-MemSystem::reset()
-{
-    for (auto &cache : l1d_)
-        cache.reset();
-    for (auto &cache : l2_)
-        cache.reset();
-    for (auto &cache : l3_)
-        cache.reset();
-    std::visit([](auto &dir) { dir.clear(); }, dir_);
-    dramFree_.assign(config_.numCores, 0.0);
-    dramShare_.assign(config_.numSockets(), config_.dramTransferCycles);
-    stats_ = MemStats();
-}
-
 uint64_t
 MemSystem::l1Occupancy(unsigned core) const
 {

@@ -157,9 +157,6 @@ class MemSystem
     void installFunctional(unsigned core, uint64_t line_addr,
                            bool written = false, bool llc_dirty = false);
 
-    /** Drop all cached state and directory contents (cold machine). */
-    void reset();
-
     /**
      * Rebase the DRAM channel clocks to zero and set the number of
      * cores actively sharing each socket's channel. Called at
@@ -175,7 +172,7 @@ class MemSystem
      */
     void beginRegion(unsigned active_threads);
 
-    /** @return cumulative statistics since construction or reset. */
+    /** @return cumulative statistics since construction. */
     const MemStats &stats() const { return stats_; }
 
     const MemSystemConfig &config() const { return config_; }
@@ -259,7 +256,6 @@ class MemSystem
                 map_.erase(line);
         }
 
-        void clear() { map_.clear(); }
         size_t size() const { return map_.size(); }
 
         /** Table bytes: every slot, used or not. */
@@ -382,7 +378,6 @@ class MemSystem
                 map_.erase(line);
         }
 
-        void clear() { map_.clear(); }
         size_t size() const { return map_.size(); }
 
         /** Node bytes plus the sharer shards' heap bytes. */

@@ -111,12 +111,4 @@ MruTracker::snapshot(uint64_t llc_dirty_window) const
     return entries;
 }
 
-void
-MruTracker::reset()
-{
-    lines_.clear();
-    main_.clear();
-    priv_.clear();
-}
-
 } // namespace bp

@@ -101,9 +101,6 @@ class MruTracker
     uint64_t size() const { return main_.size(); }
     uint64_t capacity() const { return capacity_; }
 
-    /** Drop all state. */
-    void reset();
-
   private:
     /**
      * Everything known about one line, living in one FlatMap slot.

@@ -44,18 +44,17 @@ gatherRegionProfiles(std::span<const RegionTrace> regions,
 void
 ThreadProfile::serialize(Serializer &s) const
 {
-    std::vector<std::pair<uint32_t, uint64_t>> sorted(bbv.begin(),
-                                                      bbv.end());
-    std::sort(sorted.begin(), sorted.end());
-    s.size(sorted.size());
-    for (const auto &[bb, count] : sorted) {
-        s.u32(bb);
-        s.u64(count);
+    s.size(bbv.size());
+    for (size_t i = 0; i < bbv.size(); ++i) {
+        BP_ASSERT(i == 0 || bbv[i - 1].first < bbv[i].first,
+                  "BBV entries must ascend by bb id");
+        s.u32(bbv[i].first);
+        s.u64(bbv[i].second);
     }
 
-    s.size(ldv.numBuckets());
-    for (unsigned b = 0; b < ldv.numBuckets(); ++b)
-        s.u64(ldv.bucket(b));
+    s.size(ldv.size());
+    for (const uint64_t count : ldv)
+        s.u64(count);
 
     s.u64(instructions);
     s.u64(memOps);
@@ -65,23 +64,18 @@ ThreadProfile::serialize(Serializer &s) const
 void
 ThreadProfile::deserialize(Deserializer &d)
 {
-    bbv.clear();
-    const size_t bbs = d.size(4 + 8);
-    bbv.reserve(bbs);
-    for (size_t i = 0; i < bbs; ++i) {
-        const uint32_t bb = d.u32();
-        bbv[bb] = d.u64();
+    bbv.resize(d.size(4 + 8));
+    for (size_t i = 0; i < bbv.size(); ++i) {
+        bbv[i].first = d.u32();
+        bbv[i].second = d.u64();
+        if (i > 0 && bbv[i].first <= bbv[i - 1].first)
+            throw SerializeError("BBV entries out of order");
     }
 
-    ldv.clear();
-    const size_t buckets = d.size(8);
-    if (buckets != ldv.numBuckets())
+    if (d.size(8) != ldv.size())
         throw SerializeError("LDV bucket count mismatch");
-    for (unsigned b = 0; b < buckets; ++b) {
-        const uint64_t count = d.u64();
-        if (count > 0)
-            ldv.add(Pow2Histogram::bucketLow(b), count);
-    }
+    for (uint64_t &count : ldv)
+        count = d.u64();
 
     instructions = d.u64();
     memOps = d.u64();
@@ -125,13 +119,6 @@ sampleReuse(SampledReuseDistanceCollector &reuse, uint64_t line,
     return reuse.access(line, hash);
 }
 
-/** The LDV bucket of @p distance, clamped as Pow2Histogram::add does. */
-unsigned
-ldvBucket(uint64_t distance)
-{
-    return std::min(Pow2Histogram::bucketOf(distance), kLdvBuckets - 1);
-}
-
 /**
  * One thread's profiling of one region through @p reuse. Every
  * admitted access lands in the LDV with its sample's weight — 1 for
@@ -141,9 +128,8 @@ ldvBucket(uint64_t distance)
  * making the filter free and the output independent of thread count.
  *
  * The counts and LDV buckets accumulate in locals and reach
- * @p thread_profile once: neighbouring threads' profiles, and the
- * bucket arrays they allocated one after another, share cache lines
- * that other tasks write.
+ * @p thread_profile once: neighbouring threads' profiles share cache
+ * lines that other tasks write.
  */
 template <typename Collector>
 void
@@ -189,14 +175,13 @@ profileStream(const std::vector<MicroOp> &ops, Collector &reuse,
     thread_profile.instructions += ops.size();
     thread_profile.memOps += mem_ops;
     thread_profile.coldAccesses += cold_accesses;
-    for (unsigned b = 0; b < kLdvBuckets; ++b) {
-        if (ldv[b] > 0)
-            thread_profile.ldv.add(Pow2Histogram::bucketLow(b), ldv[b]);
-    }
+    for (unsigned b = 0; b < kLdvBuckets; ++b)
+        thread_profile.ldv[b] += ldv[b];
     thread_profile.bbv.reserve(bbv.size());
     bbv.forEach([&](uint64_t bb, uint64_t count) {
-        thread_profile.bbv.emplace(static_cast<uint32_t>(bb), count);
+        thread_profile.bbv.emplace_back(static_cast<uint32_t>(bb), count);
     });
+    std::sort(thread_profile.bbv.begin(), thread_profile.bbv.end());
 }
 
 } // namespace

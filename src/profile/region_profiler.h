@@ -10,11 +10,17 @@
  * (the LRU stack is a property of the whole execution), so regions
  * must be fed in order.
  *
+ * A ThreadProfile is plain data in the order its artifact stores it:
+ * (bb id, count) pairs in ascending id and a fixed array of LDV
+ * bucket counts, so saving one copies nothing and loading one checks
+ * the order instead of rebuilding a container.
+ *
  * The per-access hot path is allocation-free: the cache line is
  * hashed once (flatHash) and that hash serves the reuse probe and
  * its lookahead prefetch, BBV counts accumulate in a reusable FlatMap
- * scratch arena instead of allocating `unordered_map` nodes, and the
- * reuse structures themselves are flat (see their headers).
+ * scratch arena that becomes the profile's sorted pairs once per
+ * region, and the reuse structures themselves are flat (see their
+ * headers).
  *
  * Each workload thread's profiling touches only that thread's state,
  * so the threads profile as concurrent pool tasks. Every piece of it
@@ -29,16 +35,18 @@
 #ifndef BP_PROFILE_REGION_PROFILER_H
 #define BP_PROFILE_REGION_PROFILER_H
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/profile/profiling_config.h"
 #include "src/profile/reuse_distance.h"
 #include "src/profile/sampled_reuse_distance.h"
 #include "src/support/cache_aligned.h"
-#include "src/support/histogram.h"
 #include "src/trace/region_trace.h"
 
 namespace bp {
@@ -47,33 +55,51 @@ class ThreadPool;
 class Serializer;
 class Deserializer;
 
-/** Buckets kept in every LDV histogram. */
+/** Buckets in every LDV. */
 constexpr unsigned kLdvBuckets = 40;
+
+/**
+ * The LDV bucket of stack distance @p distance: floor(log2(distance)),
+ * 0 for 0 and 1, so bucket n counts distances in [2^n, 2^(n+1)).
+ * Distances past the last bucket clamp into it, so no mass is lost.
+ */
+constexpr unsigned
+ldvBucket(uint64_t distance)
+{
+    const unsigned bucket = distance < 2
+        ? 0 : 63 - static_cast<unsigned>(std::countl_zero(distance));
+    return std::min(bucket, kLdvBuckets - 1);
+}
 
 /**
  * Stack distance recorded for cold (first-touch) accesses: large
  * enough that no finite simulated cache could satisfy it, yet —
  * guaranteed below — small enough to land inside the LDV's bucket
- * range rather than relying on the histogram's top-bucket clamp.
+ * range rather than relying on the top bucket's clamp.
  */
 constexpr uint64_t kColdDistanceMarker = 1ull << 38;
 
-static_assert(Pow2Histogram::bucketOf(kColdDistanceMarker) <
-                  kLdvBuckets - 1,
+static_assert(ldvBucket(kColdDistanceMarker) < kLdvBuckets - 1,
               "the cold-access marker must map below the LDV's top "
               "bucket, where clamped overflow mass also lands");
 
-/** One thread's profile of one inter-barrier region. */
+/**
+ * One thread's profile of one inter-barrier region, held as its
+ * artifact stores it.
+ */
 struct ThreadProfile
 {
-    std::unordered_map<uint32_t, uint64_t> bbv;  ///< bb id -> exec count
-    Pow2Histogram ldv{kLdvBuckets};              ///< stack distance buckets
+    /** (bb id, exec count) pairs, ids strictly ascending. */
+    std::vector<std::pair<uint32_t, uint64_t>> bbv;
+    /** Accesses per stack distance bucket (see ldvBucket()). */
+    std::array<uint64_t, kLdvBuckets> ldv{};
     uint64_t instructions = 0;
     uint64_t memOps = 0;
     uint64_t coldAccesses = 0;
 
-    /** Byte-stable: BBV entries are written in ascending bb order. */
+    /** Writes the fields as they are; bbv must ascend. */
     void serialize(Serializer &s) const;
+    /** Throws SerializeError when the BBV ids do not ascend. */
     void deserialize(Deserializer &d);
 };
 

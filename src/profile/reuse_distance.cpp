@@ -114,14 +114,4 @@ ReuseDistanceCollector::compact(size_t new_capacity)
     nextPos_ = live_count;
 }
 
-void
-ReuseDistanceCollector::reset()
-{
-    lastPos_.clear();
-    std::fill(live_.begin(), live_.end(), 0);
-    tree_ = BasicFenwickTree<int32_t>(live_.size());
-    nextPos_ = 0;
-    accesses_ = 0;
-}
-
 } // namespace bp

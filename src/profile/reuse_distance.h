@@ -66,13 +66,10 @@ class ReuseDistanceCollector
     /** forget() with a caller-precomputed flatHash(line). */
     void forget(uint64_t line, uint64_t hash);
 
-    /** Forget all history. */
-    void reset();
-
     /** @return number of distinct lines currently tracked. */
     uint64_t footprint() const { return lastPos_.size(); }
 
-    /** @return total accesses observed since construction/reset. */
+    /** @return total accesses observed since construction. */
     uint64_t accesses() const { return accesses_; }
 
   private:

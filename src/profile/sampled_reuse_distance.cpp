@@ -118,17 +118,4 @@ SampledReuseDistanceCollector::currentRate() const
         : static_cast<double>(threshold_ + 1) * 0x1p-64;
 }
 
-void
-SampledReuseDistanceCollector::reset()
-{
-    inner_.reset();
-    heap_ = {};
-    if (sMax_ != 0) {
-        threshold_ = UINT64_MAX;
-        updateRate();
-    }
-    accesses_ = 0;
-    sampled_ = 0;
-}
-
 } // namespace bp

@@ -88,13 +88,10 @@ class SampledReuseDistanceCollector
             inner_.prefetch(hash);
     }
 
-    /** Forget all history (the threshold re-opens in adaptive mode). */
-    void reset();
-
     /** @return number of distinct sampled lines currently tracked. */
     uint64_t footprint() const { return inner_.footprint(); }
 
-    /** @return total accesses observed since construction/reset. */
+    /** @return total accesses observed since construction. */
     uint64_t accesses() const { return accesses_; }
 
     /** @return accesses that passed the filter (paid Fenwick work). */

@@ -57,13 +57,4 @@ BranchPredictor::predictAndTrain(uint32_t from_bb, uint32_t to_bb)
     return mispredict;
 }
 
-void
-BranchPredictor::reset()
-{
-    for (auto &entry : table_)
-        entry = Entry();
-    lookups_ = 0;
-    mispredicts_ = 0;
-}
-
 } // namespace bp

@@ -33,9 +33,6 @@ class BranchPredictor
      */
     bool predictAndTrain(uint32_t from_bb, uint32_t to_bb);
 
-    /** Forget all learned state. */
-    void reset();
-
     uint64_t lookups() const { return lookups_; }
     uint64_t mispredicts() const { return mispredicts_; }
 

@@ -21,15 +21,6 @@ CoreModel::beginRegion()
     overlapCount_ = 0;
 }
 
-void
-CoreModel::reset()
-{
-    beginRegion();
-    predictor_.reset();
-    lastBb_ = UINT32_MAX;
-    regionMispredictBase_ = 0;
-}
-
 uint64_t
 CoreModel::mispredicts() const
 {

@@ -63,9 +63,6 @@ class CoreModel
      */
     void trainPredictor(const std::vector<MicroOp> &stream);
 
-    /** Full reset (cold core), including predictor state. */
-    void reset();
-
   private:
     unsigned coreId_;
     const MachineConfig &config_;

@@ -94,12 +94,4 @@ MultiCoreSim::trainPredictors(const RegionTrace &region)
         cores_[t].trainPredictor(region.thread(t));
 }
 
-void
-MultiCoreSim::reset()
-{
-    mem_.reset();
-    for (auto &core : cores_)
-        core.reset();
-}
-
 } // namespace bp

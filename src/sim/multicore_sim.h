@@ -56,9 +56,6 @@ class MultiCoreSim
      */
     void trainPredictors(const RegionTrace &region);
 
-    /** Return the machine to a cold state. */
-    void reset();
-
     const MachineConfig &config() const { return config_; }
 
   private:

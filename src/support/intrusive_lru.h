@@ -96,15 +96,6 @@ class IntrusiveLru
         --size_;
     }
 
-    /** Drop all nodes and the arena. */
-    void
-    clear()
-    {
-        nodes_.clear();
-        head_ = tail_ = free_ = kNil;
-        size_ = 0;
-    }
-
     /** Visit keys oldest (LRU) first. */
     template <typename Fn>
     void

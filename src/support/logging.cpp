@@ -6,7 +6,6 @@
 namespace bp {
 
 namespace {
-bool verboseEnabled = false;
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)
@@ -49,24 +48,10 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (!verboseEnabled)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vreport("info", fmt, ap);
     va_end(ap);
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseEnabled = verbose;
-}
-
-bool
-isVerbose()
-{
-    return verboseEnabled;
 }
 
 } // namespace bp

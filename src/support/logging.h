@@ -28,12 +28,6 @@ void warn(const char *fmt, ...);
 /** Print an informational message to stderr. */
 void inform(const char *fmt, ...);
 
-/** Enable or disable inform() output (warnings are always printed). */
-void setVerbose(bool verbose);
-
-/** @return true when inform() output is enabled. */
-bool isVerbose();
-
 /**
  * Assert-like check that stays enabled in release builds.
  * Use for invariants whose violation indicates a library bug.

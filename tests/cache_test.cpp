@@ -140,15 +140,6 @@ TEST(CacheTest, SetIsolation)
     EXPECT_EQ(c.occupancy(), 4u);
 }
 
-TEST(CacheTest, ResetClears)
-{
-    SetAssocCache c(smallCache());
-    c.insert(1, LineState::Modified);
-    c.reset();
-    EXPECT_EQ(c.occupancy(), 0u);
-    EXPECT_FALSE(c.contains(1));
-}
-
 TEST(CacheTest, SetStateOnResidentLine)
 {
     SetAssocCache c(smallCache());

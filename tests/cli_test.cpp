@@ -27,6 +27,9 @@
 
 #include <sys/wait.h>
 
+#include "src/core/artifacts.h"
+#include "src/support/serialize.h"
+
 namespace {
 
 struct RunResult
@@ -551,6 +554,43 @@ TEST(CliTest, RuntimeFailuresExitOne)
     EXPECT_NE(huge.output.find("--scale"), std::string::npos) << huge.output;
 }
 
+TEST(CliTest, DigestRejectsBbvIdsThatDoNotAscend)
+{
+    // A profile whose BBV ids repeat or descend is corrupt even under
+    // a valid checksum: the profiler writes them strictly ascending.
+    // Its one thread stores (3, 40) then (7, 100); rewrite the ids to
+    // (7, 3) and to (5, 5), and reseal the header's checksum.
+    const ScratchDir dir("unordered_bbv");
+    const std::string path = dir / "unordered.profile.bp";
+    bp::ProfileArtifact artifact;
+    artifact.workload.name = "npb-is";
+    artifact.profiles.resize(1);
+    artifact.profiles[0].threads.resize(1);
+    artifact.profiles[0].threads[0].bbv = {{3, 40}, {7, 100}};
+    std::array<uint8_t, 16> pair{};
+    bp::storeLe(pair.data(), 3, 4);
+    bp::storeLe(pair.data() + 4, 40, 8);
+    bp::storeLe(pair.data() + 12, 7, 4);
+    for (const auto &[first, second] : {std::pair{7u, 3u}, {5u, 5u}}) {
+        bp::saveArtifact(path, artifact);
+        std::string bytes = readFile(path);
+        uint8_t *data = reinterpret_cast<uint8_t *>(bytes.data());
+        const size_t at = bytes.find(
+            std::string(reinterpret_cast<const char *>(pair.data()),
+                        pair.size()));
+        ASSERT_NE(at, std::string::npos);
+        bp::storeLe(data + at, first, 4);
+        bp::storeLe(data + at + 12, second, 4);
+        bp::storeLe(data + 24, bp::fnv1aHash(data + 32, bytes.size() - 32),
+                    8);
+        std::ofstream(path, std::ios::binary) << bytes;
+        const RunResult digest = runCli("digest --artifact " + path);
+        EXPECT_EQ(digest.exitCode, 1) << digest.output;
+        EXPECT_NE(digest.output.find("out of order"), std::string::npos)
+            << digest.output;
+    }
+}
+
 TEST(CliTest, ArtifactFlowChainsEveryStageThroughFiles)
 {
     const ScratchDir dir("artifact_flow");
@@ -566,10 +606,14 @@ TEST(CliTest, ArtifactFlowChainsEveryStageThroughFiles)
     const std::string simulate4 = "simulate --analysis " + analysis +
                                   " --machine 4-core --snapshots " +
                                   (dir / "is.4c.snaps.bp") + " -o ";
-    runOk(simulate4 + result);
+    const std::string captured = runOk(simulate4 + result);
+    EXPECT_NE(captured.find("captured MRU snapshots"), std::string::npos)
+        << captured;
     runOk("simulate --analysis " + analysis + " --machine 8-core -o " +
           (dir / "is.8c.result.bp"));
-    runOk(simulate4 + (dir / "is.4c.result2.bp"));
+    const std::string reused = runOk(simulate4 + (dir / "is.4c.result2.bp"));
+    EXPECT_NE(reused.find("reusing MRU snapshots"), std::string::npos)
+        << reused;
     EXPECT_FALSE(readFile(result).empty());
     EXPECT_TRUE(readFile(result) == readFile(dir / "is.4c.result2.bp"));
 

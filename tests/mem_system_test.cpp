@@ -270,17 +270,6 @@ TEST(MemSystemTest, InstallFunctionalLlcDirtyWritesBackOnEviction)
     EXPECT_GT(m.stats().dramWrites, 0u);
 }
 
-TEST(MemSystemTest, ResetClearsEverything)
-{
-    MemSystem m(config8());
-    m.access(0, addrOfLine(1), true, 0.0);
-    m.reset();
-    EXPECT_EQ(m.stats().accesses, 0u);
-    EXPECT_EQ(m.l1Occupancy(0), 0u);
-    const auto r = m.access(0, addrOfLine(1), false, 0.0);
-    EXPECT_EQ(r.level, MemLevel::Dram);
-}
-
 TEST(MemSystemTest, StatsDelta)
 {
     MemSystem m(config8());

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "tests/legacy_profile_reference.h"
@@ -147,20 +148,22 @@ struct RefProfiler
         profile.threads.resize(reuse.size());
         for (unsigned t = 0; t < reuse.size(); ++t) {
             ThreadProfile &tp = profile.threads[t];
+            std::map<uint32_t, uint64_t> bbv;
             for (const MicroOp &op : region.thread(t)) {
                 ++tp.instructions;
-                ++tp.bbv[op.bb];
+                ++bbv[op.bb];
                 if (!op.isMem())
                     continue;
                 ++tp.memOps;
                 const uint64_t distance = reuse[t].access(lineOf(op.addr));
                 if (distance == LegacyReuseDistanceCollector::kCold) {
                     ++tp.coldAccesses;
-                    tp.ldv.add(kColdDistanceMarker);
+                    ++tp.ldv[ldvBucket(kColdDistanceMarker)];
                 } else {
-                    tp.ldv.add(distance);
+                    ++tp.ldv[ldvBucket(distance)];
                 }
             }
+            tp.bbv.assign(bbv.begin(), bbv.end());
         }
         return profile;
     }
@@ -179,9 +182,8 @@ expectSameProfile(const RegionProfile &got, const RegionProfile &want)
         EXPECT_EQ(g.memOps, w.memOps) << "thread " << t;
         EXPECT_EQ(g.coldAccesses, w.coldAccesses) << "thread " << t;
         EXPECT_EQ(g.bbv, w.bbv) << "thread " << t;
-        ASSERT_EQ(g.ldv.numBuckets(), w.ldv.numBuckets());
-        for (unsigned b = 0; b < g.ldv.numBuckets(); ++b)
-            EXPECT_EQ(g.ldv.bucket(b), w.ldv.bucket(b))
+        for (unsigned b = 0; b < kLdvBuckets; ++b)
+            EXPECT_EQ(g.ldv[b], w.ldv[b])
                 << "thread " << t << " bucket " << b;
     }
 }

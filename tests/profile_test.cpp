@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/profile/mru_tracker.h"
@@ -57,15 +56,6 @@ TEST(ReuseDistanceTest, RepeatedInterleaving)
     }
 }
 
-TEST(ReuseDistanceTest, ResetForgets)
-{
-    ReuseDistanceCollector c;
-    c.access(1);
-    c.reset();
-    EXPECT_EQ(c.access(1), ReuseDistanceCollector::kCold);
-    EXPECT_EQ(c.accesses(), 1u);
-}
-
 /** Naive O(n^2) stack distance for cross-checking. */
 uint64_t
 naiveDistance(const std::vector<uint64_t> &history, uint64_t line)
@@ -111,13 +101,8 @@ TEST(ReuseDistanceTest, ColdMarkerLandsInARealLdvBucket)
     // on its own merits (static_assert'd in region_profiler.h); this
     // pins the actual bucket so the sentinel cannot drift into the
     // clamp-absorbing top bucket unnoticed.
-    EXPECT_EQ(Pow2Histogram::bucketOf(kColdDistanceMarker), 38u);
-    EXPECT_LT(Pow2Histogram::bucketOf(kColdDistanceMarker),
-              kLdvBuckets - 1);
-    Pow2Histogram ldv(kLdvBuckets);
-    ldv.add(kColdDistanceMarker);
-    EXPECT_EQ(ldv.bucket(38), 1u);
-    EXPECT_EQ(ldv.bucket(kLdvBuckets - 1), 0u);
+    EXPECT_EQ(ldvBucket(kColdDistanceMarker), 38u);
+    EXPECT_LT(ldvBucket(kColdDistanceMarker), kLdvBuckets - 1);
 }
 
 // ------------------------------------------------------------ MruTracker
@@ -254,9 +239,9 @@ TEST(RegionProfilerTest, BbvCounts)
 {
     RegionProfiler profiler(2);
     const RegionProfile profile = profiler.profileRegion(twoThreadRegion());
-    EXPECT_EQ(profile.threads[0].bbv.at(10), 3u);
-    EXPECT_EQ(profile.threads[0].bbv.at(11), 2u);
-    EXPECT_EQ(profile.threads[1].bbv.at(20), 2u);
+    using Bbv = std::vector<std::pair<uint32_t, uint64_t>>;
+    EXPECT_EQ(profile.threads[0].bbv, (Bbv{{10, 3}, {11, 2}}));
+    EXPECT_EQ(profile.threads[1].bbv, (Bbv{{20, 2}}));
     EXPECT_EQ(profile.instructions(), 7u);
     EXPECT_EQ(profile.memOps(), 5u);
 }
@@ -267,7 +252,7 @@ TEST(RegionProfilerTest, ColdAndReuseAccounting)
     const RegionProfile profile = profiler.profileRegion(twoThreadRegion());
     // Thread 0: lines 0 and 1 cold; one distance-0 and one distance-1.
     EXPECT_EQ(profile.threads[0].coldAccesses, 2u);
-    EXPECT_EQ(profile.threads[0].ldv.bucket(0), 2u);  // distances 0 and 1
+    EXPECT_EQ(profile.threads[0].ldv[0], 2u);  // distances 0 and 1
     EXPECT_EQ(profile.threads[1].coldAccesses, 1u);
 }
 

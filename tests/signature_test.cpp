@@ -40,9 +40,8 @@ TEST(SignatureTest, KindNames)
 TEST(SignatureTest, BbvOnlyNormalizesToOne)
 {
     RegionProfile p = profileWith(2);
-    p.threads[0].bbv[1] = 30;
-    p.threads[0].bbv[2] = 10;
-    p.threads[1].bbv[1] = 60;
+    p.threads[0].bbv = {{1, 30}, {2, 10}};
+    p.threads[1].bbv = {{1, 60}};
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Bbv;
     const auto sig = buildSignature(p, cfg);
@@ -53,8 +52,8 @@ TEST(SignatureTest, BbvOnlyNormalizesToOne)
 TEST(SignatureTest, LdvOnlyIgnoresBbv)
 {
     RegionProfile p = profileWith(1);
-    p.threads[0].bbv[1] = 100;
-    p.threads[0].ldv.add(4, 10);
+    p.threads[0].bbv = {{1, 100}};
+    p.threads[0].ldv[ldvBucket(4)] += 10;
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Ldv;
     const auto sig = buildSignature(p, cfg);
@@ -65,9 +64,9 @@ TEST(SignatureTest, LdvOnlyIgnoresBbv)
 TEST(SignatureTest, CombinedHasBothHalvesWeightedEqually)
 {
     RegionProfile p = profileWith(1);
-    p.threads[0].bbv[1] = 5;
-    p.threads[0].ldv.add(4, 10);
-    p.threads[0].ldv.add(100, 30);
+    p.threads[0].bbv = {{1, 5}};
+    p.threads[0].ldv[ldvBucket(4)] += 10;
+    p.threads[0].ldv[ldvBucket(100)] += 30;
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Combined;
     const auto sig = buildSignature(p, cfg);
@@ -82,8 +81,8 @@ TEST(SignatureTest, CombinedWithEmptyLdvStillHasUnitMass)
     // 0.5 scale of the halved BBV (which skewed distances against
     // fully-populated regions).
     RegionProfile p = profileWith(2);
-    p.threads[0].bbv[1] = 40;
-    p.threads[1].bbv[2] = 60;
+    p.threads[0].bbv = {{1, 40}};
+    p.threads[1].bbv = {{2, 60}};
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Combined;
     const auto sig = buildSignature(p, cfg);
@@ -94,8 +93,8 @@ TEST(SignatureTest, CombinedWithEmptyLdvStillHasUnitMass)
 TEST(SignatureTest, CombinedWithEmptyBbvStillHasUnitMass)
 {
     RegionProfile p = profileWith(1);
-    p.threads[0].ldv.add(4, 10);
-    p.threads[0].ldv.add(64, 5);
+    p.threads[0].ldv[ldvBucket(4)] += 10;
+    p.threads[0].ldv[ldvBucket(64)] += 5;
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Combined;
     const auto sig = buildSignature(p, cfg);
@@ -107,11 +106,11 @@ TEST(SignatureTest, ConcatenationSeparatesThreads)
 {
     // Two regions: same aggregate mix, opposite per-thread behaviour.
     RegionProfile a = profileWith(2);
-    a.threads[0].bbv[1] = 100;
-    a.threads[1].bbv[2] = 100;
+    a.threads[0].bbv = {{1, 100}};
+    a.threads[1].bbv = {{2, 100}};
     RegionProfile b = profileWith(2);
-    b.threads[0].bbv[2] = 100;
-    b.threads[1].bbv[1] = 100;
+    b.threads[0].bbv = {{2, 100}};
+    b.threads[1].bbv = {{1, 100}};
 
     SignatureConfig concat;
     concat.kind = SignatureKind::Bbv;
@@ -131,8 +130,8 @@ TEST(SignatureTest, ConcatenationSeparatesThreads)
 TEST(SignatureTest, LdvWeightingShiftsMassToLongDistances)
 {
     RegionProfile p = profileWith(1);
-    p.threads[0].ldv.add(2, 100);      // bucket 1
-    p.threads[0].ldv.add(1 << 10, 1);  // bucket 10
+    p.threads[0].ldv[ldvBucket(2)] += 100;      // bucket 1
+    p.threads[0].ldv[ldvBucket(1 << 10)] += 1;  // bucket 10
     SignatureConfig unweighted;
     unweighted.kind = SignatureKind::Ldv;
     SignatureConfig weighted = unweighted;
@@ -156,7 +155,7 @@ TEST(SignatureTest, LdvWeightingShiftsMassToLongDistances)
 TEST(SignatureTest, ProjectionDeterministic)
 {
     RegionProfile p = profileWith(1);
-    p.threads[0].bbv[7] = 3;
+    p.threads[0].bbv = {{7, 3}};
     const auto sig = buildSignature(p, SignatureConfig{});
     const auto a = projectSignature(sig, 15, 99);
     const auto b = projectSignature(sig, 15, 99);
@@ -181,10 +180,10 @@ TEST(SignatureTest, ProjectionIsLinear)
 TEST(SignatureTest, IdenticalProfilesProjectIdentically)
 {
     RegionProfile a = profileWith(2);
-    a.threads[0].bbv[1] = 10;
-    a.threads[1].bbv[1] = 10;
-    a.threads[0].ldv.add(16, 4);
-    a.threads[1].ldv.add(16, 4);
+    a.threads[0].bbv = {{1, 10}};
+    a.threads[1].bbv = {{1, 10}};
+    a.threads[0].ldv[ldvBucket(16)] += 4;
+    a.threads[1].ldv[ldvBucket(16)] += 4;
     RegionProfile b = a;
     const SignatureConfig cfg;
     const auto pa = projectSignature(buildSignature(a, cfg), 15, 1);
@@ -211,10 +210,9 @@ TEST(SignatureTest, FeatureIdsNeverCollideAcrossSpacesAtMaxInputs)
     RegionProfile p = profileWith(threads);
     const uint32_t max_bb = 0xFFFFFFFFu;
     for (unsigned t = 0; t < threads; ++t) {
-        p.threads[t].bbv[max_bb] = 1;
-        p.threads[t].bbv[0] = 1;
-        p.threads[t].ldv.add(0, 1);                  // bucket 0
-        p.threads[t].ldv.add(1ull << 39, 1);         // top bucket
+        p.threads[t].bbv = {{0, 1}, {max_bb, 1}};
+        p.threads[t].ldv[ldvBucket(0)] += 1;         // bucket 0
+        p.threads[t].ldv[ldvBucket(1ull << 39)] += 1;  // top bucket
     }
     SignatureConfig cfg;
     cfg.kind = SignatureKind::Combined;

@@ -200,9 +200,9 @@ syntheticProfiles(unsigned regions, uint64_t seed)
             tp.memOps = tp.instructions / 4;
             tp.coldAccesses = rng.nextBounded(8);
             for (unsigned b = 0; b < 6; ++b)
-                tp.bbv[phase * 8 + b] = 10 + rng.nextBounded(50);
+                tp.bbv.emplace_back(phase * 8 + b, 10 + rng.nextBounded(50));
             for (unsigned i = 0; i < 20; ++i)
-                tp.ldv.add(uint64_t{1} << ((phase + i) % 12));
+                ++tp.ldv[ldvBucket(uint64_t{1} << ((phase + i) % 12))];
         }
     }
     return profiles;
@@ -558,7 +558,7 @@ TEST(StreamingMemoryWallTest, StreamingFitsWhereBatchCannot)
     // RSS cover one analysis in a fresh process, not the suite so far.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     constexpr unsigned kRegions = 150000;
-    constexpr uint64_t kAddressSpace = 256ull << 20;
+    constexpr uint64_t kAddressSpace = 160ull << 20;
     WorkloadParams params;
     params.threads = 2;
     const StressWorkload workload(params, kRegions);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the support library: RNG, histogram, stats, Fenwick,
- * byte-size parsing.
+ * Unit tests for the support library: RNG, stats, Fenwick, byte-size
+ * parsing, and the LDV bucket rule.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,9 @@
 #include <limits>
 #include <set>
 
+#include "src/profile/region_profiler.h"
 #include "src/support/byte_size.h"
 #include "src/support/fenwick.h"
-#include "src/support/histogram.h"
 #include "src/support/parse_uint.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
@@ -181,79 +181,36 @@ TEST(RngTest, HashMixIsStateless)
     EXPECT_NE(hashMix(123), hashMix(124));
 }
 
-// --------------------------------------------------------- Pow2Histogram
+// -------------------------------------------------------------- ldvBucket
 
-TEST(HistogramTest, BucketOfSmallValues)
+TEST(LdvBucketTest, SmallDistances)
 {
-    EXPECT_EQ(Pow2Histogram::bucketOf(0), 0u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(1), 0u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(2), 1u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(3), 1u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(4), 2u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(7), 2u);
-    EXPECT_EQ(Pow2Histogram::bucketOf(8), 3u);
+    EXPECT_EQ(ldvBucket(0), 0u);
+    EXPECT_EQ(ldvBucket(1), 0u);
+    EXPECT_EQ(ldvBucket(2), 1u);
+    EXPECT_EQ(ldvBucket(3), 1u);
+    EXPECT_EQ(ldvBucket(4), 2u);
+    EXPECT_EQ(ldvBucket(7), 2u);
+    EXPECT_EQ(ldvBucket(8), 3u);
 }
 
-TEST(HistogramTest, BucketBoundaries)
+TEST(LdvBucketTest, BucketBoundaries)
 {
-    for (unsigned n = 1; n < 40; ++n) {
-        EXPECT_EQ(Pow2Histogram::bucketOf(uint64_t{1} << n), n);
-        EXPECT_EQ(Pow2Histogram::bucketOf((uint64_t{1} << (n + 1)) - 1), n);
+    // Bucket n holds [2^n, 2^(n+1)) for every bucket below the top.
+    for (unsigned n = 1; n < kLdvBuckets - 1; ++n) {
+        EXPECT_EQ(ldvBucket(uint64_t{1} << n), n);
+        EXPECT_EQ(ldvBucket((uint64_t{1} << (n + 1)) - 1), n);
     }
 }
 
-TEST(HistogramTest, BucketLowIsInverseOfBucketOf)
+TEST(LdvBucketTest, DistancesPastTheTopBucketClampIntoIt)
 {
-    for (unsigned n = 1; n < 30; ++n)
-        EXPECT_EQ(Pow2Histogram::bucketOf(Pow2Histogram::bucketLow(n)), n);
-}
-
-TEST(HistogramTest, AddAndTotal)
-{
-    Pow2Histogram h(16);
-    h.add(1);
-    h.add(2);
-    h.add(1000, 5);
-    EXPECT_EQ(h.totalCount(), 7u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(9), 5u);
-}
-
-TEST(HistogramTest, OverflowClampsToLastBucket)
-{
-    Pow2Histogram h(8);
-    h.add(1ull << 40);
-    EXPECT_EQ(h.bucket(7), 1u);
-}
-
-TEST(HistogramTest, MergeAddsBucketwise)
-{
-    Pow2Histogram a(16), b(16);
-    a.add(4);
-    b.add(4);
-    b.add(100);
-    a.merge(b);
-    EXPECT_EQ(a.bucket(2), 2u);
-    EXPECT_EQ(a.bucket(6), 1u);
-    EXPECT_EQ(a.totalCount(), 3u);
-}
-
-TEST(HistogramTest, ClearResets)
-{
-    Pow2Histogram h(8);
-    h.add(10, 4);
-    h.clear();
-    EXPECT_EQ(h.totalCount(), 0u);
-}
-
-TEST(HistogramTest, ToVectorMatchesBuckets)
-{
-    Pow2Histogram h(8);
-    h.add(2, 3);
-    const auto v = h.toVector();
-    ASSERT_EQ(v.size(), 8u);
-    EXPECT_DOUBLE_EQ(v[1], 3.0);
+    const unsigned top = kLdvBuckets - 1;
+    EXPECT_EQ(ldvBucket((uint64_t{1} << top) - 1), top - 1);
+    EXPECT_EQ(ldvBucket(uint64_t{1} << top), top);
+    EXPECT_EQ(ldvBucket(uint64_t{1} << (top + 1)), top);
+    EXPECT_EQ(ldvBucket(uint64_t{1} << 63), top);
+    EXPECT_EQ(ldvBucket(UINT64_MAX), top);
 }
 
 // ------------------------------------------------------------ RunningStat
