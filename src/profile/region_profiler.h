@@ -91,7 +91,8 @@ struct ThreadProfile
 {
     /** (bb id, exec count) pairs, ids strictly ascending. */
     std::vector<std::pair<uint32_t, uint64_t>> bbv;
-    /** Accesses per stack distance bucket (see ldvBucket()). */
+    /** Accesses per stack distance bucket (see ldvBucket()); the
+     *  sampled modes add each sample's rate-corrected weight. */
     std::array<uint64_t, kLdvBuckets> ldv{};
     uint64_t instructions = 0;
     uint64_t memOps = 0;

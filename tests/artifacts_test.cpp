@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -504,16 +503,22 @@ TEST(ArtifactsTest, ProfilerOutputDigestsArePinned)
     }
 }
 
-constexpr size_t kHeaderBytes = 32;
-
 /**
- * Write @p bytes, an artifact with an edited payload, to @p path with
- * the header's payload length and checksum fixed up, so that only the
- * payload's own checks can reject it.
+ * Rewrite the artifact at @p path, whose payload ends in an element
+ * count of zero, so that the count reads @p count and @p count zero
+ * bytes follow, with the header's length and checksum fixed up: a
+ * well-formed file whose count fits the bytes left at one byte per
+ * element.
  */
 void
-writeResealed(const std::string &path, std::vector<uint8_t> bytes)
+inflateTrailingCount(const std::string &path, uint64_t count)
 {
+    constexpr size_t kHeaderBytes = 32;
+    std::vector<uint8_t> bytes = fileBytes(path);
+    ASSERT_GE(bytes.size(), kHeaderBytes + 8);
+    ASSERT_EQ(loadLe(bytes.data() + bytes.size() - 8, 8), 0u);
+    storeLe(bytes.data() + bytes.size() - 8, count, 8);
+    bytes.resize(bytes.size() + count, 0);
     const uint8_t *payload = bytes.data() + kHeaderBytes;
     const size_t payload_size = bytes.size() - kHeaderBytes;
     storeLe(bytes.data() + 16, payload_size, 8);
@@ -522,23 +527,6 @@ writeResealed(const std::string &path, std::vector<uint8_t> bytes)
     ASSERT_NE(file, nullptr) << path;
     EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
     std::fclose(file);
-}
-
-/**
- * Rewrite the artifact at @p path, whose payload ends in an element
- * count of zero, so that the count reads @p count and @p count zero
- * bytes follow: a well-formed file whose count fits the bytes left at
- * one byte per element.
- */
-void
-inflateTrailingCount(const std::string &path, uint64_t count)
-{
-    std::vector<uint8_t> bytes = fileBytes(path);
-    ASSERT_GE(bytes.size(), kHeaderBytes + 8);
-    ASSERT_EQ(loadLe(bytes.data() + bytes.size() - 8, 8), 0u);
-    storeLe(bytes.data() + bytes.size() - 8, count, 8);
-    bytes.resize(bytes.size() + count, 0);
-    writeResealed(path, std::move(bytes));
 }
 
 template <typename Load>
@@ -574,38 +562,6 @@ TEST(ArtifactsTest, ElementCountsAreCheckedAgainstTheirElementSize)
     saveArtifact(result.path(), no_regions);
     inflateTrailingCount(result.path(), 4096);
     expectCorruptCount([&] { loadRunResultArtifact(result.path()); });
-}
-
-TEST(ArtifactsTest, BbvIdsThatDoNotAscendAreRejected)
-{
-    // The profiler writes each BBV in strictly ascending bb id, so a
-    // repeated or descending id is corruption even under a valid
-    // checksum. fixedProfileArtifact()'s first thread stores (3, 40)
-    // then (7, 100); rewrite its ids to (7, 3) and to (5, 5).
-    TempFile file("unordered_bbv.bp");
-    std::vector<uint8_t> pair(4 + 8 + 4);
-    storeLe(pair.data(), 3, 4);
-    storeLe(pair.data() + 4, 40, 8);
-    storeLe(pair.data() + 12, 7, 4);
-    for (const auto &[first, second] : {std::pair{7u, 3u}, {5u, 5u}}) {
-        saveArtifact(file.path(), fixedProfileArtifact());
-        std::vector<uint8_t> bytes = fileBytes(file.path());
-        const auto at = std::search(bytes.begin(), bytes.end(),
-                                    pair.begin(), pair.end());
-        ASSERT_NE(at, bytes.end());
-        storeLe(&*at, first, 4);
-        storeLe(&*at + 12, second, 4);
-        writeResealed(file.path(), std::move(bytes));
-        try {
-            loadProfileArtifact(file.path());
-            ADD_FAILURE() << "BBV ids " << first << ", " << second
-                          << " loaded";
-        } catch (const SerializeError &error) {
-            EXPECT_NE(std::string(error.what()).find("out of order"),
-                      std::string::npos)
-                << error.what();
-        }
-    }
 }
 
 TEST(ArtifactsTest, PayloadDigestValidatesTheArtifact)

@@ -554,12 +554,14 @@ TEST(CliTest, RuntimeFailuresExitOne)
     EXPECT_NE(huge.output.find("--scale"), std::string::npos) << huge.output;
 }
 
-TEST(CliTest, DigestRejectsBbvIdsThatDoNotAscend)
+TEST(CliTest, ProfileWithBbvIdsOutOfOrderIsARuntimeFailure)
 {
     // A profile whose BBV ids repeat or descend is corrupt even under
     // a valid checksum: the profiler writes them strictly ascending.
     // Its one thread stores (3, 40) then (7, 100); rewrite the ids to
-    // (7, 3) and to (5, 5), and reseal the header's checksum.
+    // (7, 3) and to (5, 5), and reseal the header's checksum as a
+    // well-formed file would have it. Loading it is a typed error, so
+    // digest, which loads what it digests, exits 1.
     const ScratchDir dir("unordered_bbv");
     const std::string path = dir / "unordered.profile.bp";
     bp::ProfileArtifact artifact;
@@ -584,6 +586,7 @@ TEST(CliTest, DigestRejectsBbvIdsThatDoNotAscend)
         bp::storeLe(data + 24, bp::fnv1aHash(data + 32, bytes.size() - 32),
                     8);
         std::ofstream(path, std::ios::binary) << bytes;
+        EXPECT_THROW(bp::loadProfileArtifact(path), bp::SerializeError);
         const RunResult digest = runCli("digest --artifact " + path);
         EXPECT_EQ(digest.exitCode, 1) << digest.output;
         EXPECT_NE(digest.output.find("out of order"), std::string::npos)
